@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast bench bench-smoke bench-overhead bench-obsv bench-slo bench-sched bench-service bench-http bench-shard bench-chaos chaos coverage lint docs-lint linkcheck mypy-sched ci quickstart
+.PHONY: test test-fast flake-check bench bench-smoke bench-overhead bench-obsv bench-slo bench-sched bench-service bench-http bench-shard bench-chaos chaos coverage lint docs-lint linkcheck mypy-sched ci quickstart
 
 # Tier-1: the exact command the roadmap gates on (tests/ + benchmarks/).
 test:
@@ -12,6 +12,22 @@ test:
 # Unit and integration tests only (fast inner loop; skips the benchmark harness).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests
+
+# Determinism gate for the session layer: the gateway session tests, the HTTP
+# API tests, the cross-transport tests and the comms regression for frames a
+# peer sent before a failed write, FLAKE_PASSES times, stopping at the first
+# failure.
+FLAKE_PASSES ?= 20
+FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
+	tests/service/test_http_api.py \
+	tests/service/test_cross_transport.py \
+	tests/comms/test_comms.py::TestTCPServerClient::test_failed_send_keeps_frames_the_peer_already_sent
+
+flake-check:
+	@for i in $$(seq $(FLAKE_PASSES)); do \
+		echo "flake-check pass $$i/$(FLAKE_PASSES)"; \
+		$(PYTHON) -m pytest -x -q $(FLAKE_TESTS) || exit 1; \
+	done
 
 # The paper-figure benchmark harness only.
 bench:

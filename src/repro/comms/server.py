@@ -42,10 +42,13 @@ class _PeerConnection:
         self.sock = sock
         self.address = address
         self.send_lock = threading.Lock()
+        #: Cleared once the connection can no longer be written to (a failed
+        #: send, an eviction, ``disconnect()``). Frames the peer sent before
+        #: that are still read and delivered.
         self.alive = True
-        #: Set when a newer connection registered the same identity and this
-        #: one was evicted: its reader must exit silently (the evictor already
-        #: reported the loss) and must stop attributing frames to the identity.
+        #: Set when a newer connection registered the same identity (or the
+        #: owner called ``disconnect()``): its reader must exit silently and
+        #: must stop attributing frames to the identity.
         self.evicted = False
         self.connected_at = time.time()
 
@@ -69,7 +72,7 @@ class MessageServer:
         self.host, self.port = self._listener.getsockname()
         self._peers: Dict[str, _PeerConnection] = {}
         self._peers_lock = threading.Lock()
-        self._inbound: "queue.Queue[Tuple[str, Any]]" = queue.Queue()
+        self._inbound: "queue.Queue[Optional[Tuple[str, Any]]]" = queue.Queue()
         self._stop_event = threading.Event()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"{name}-accept", daemon=True
@@ -139,7 +142,7 @@ class MessageServer:
             # lands *before* the eviction's peer_lost/registration pair or
             # is dropped — never attributed to the identity's new owner.
             with self._peers_lock:
-                if not peer.alive:
+                if peer.evicted:
                     break  # evicted mid-read: never attribute this frame
                 self._inbound.put((identity, msg))
         peer.alive = False
@@ -163,21 +166,15 @@ class MessageServer:
     # Public API
     # ------------------------------------------------------------------
     def recv(self, timeout: Optional[float] = None) -> Optional[Tuple[str, Any]]:
-        """Receive the next ``(identity, message)`` pair, or None on timeout."""
+        """Receive the next ``(identity, message)`` pair, or None on timeout.
+
+        ``close()`` wakes one blocked caller with None, so an owner may block
+        here for as long as it has nothing else to do.
+        """
         try:
             return self._inbound.get(timeout=timeout)
         except queue.Empty:
             return None
-
-    def inject(self, identity: str, message: Any) -> None:
-        """Enqueue a message as if peer ``identity`` had sent it over TCP.
-
-        In-process front-ends (e.g. the gateway's HTTP edge) use this to feed
-        the owner's service loop through the same single inbound queue as
-        remote peers, so all protocol handling stays single-writer no matter
-        which transport a message arrived on.
-        """
-        self._inbound.put((identity, message))
 
     def send(self, identity: str, message: Any) -> bool:
         """Send ``message`` to the peer with the given identity.
@@ -237,6 +234,7 @@ class MessageServer:
             peer = self._peers.pop(identity, None)
         if peer is not None:
             peer.alive = False
+            peer.evicted = True
             _close_socket(peer.sock)
 
     def close(self) -> None:
@@ -251,6 +249,7 @@ class MessageServer:
             self._peers.clear()
         for peer in peers:
             _close_socket(peer.sock)
+        self._inbound.put(None)  # wake a recv() blocked past the close
         # Join the accept thread before declaring the port free: a thread
         # blocked inside accept(2) keeps the kernel LISTEN socket alive even
         # after the fd is closed (up to its 0.2 s poll timeout), so without

@@ -35,14 +35,22 @@ This module composes the pieces built in earlier layers into exactly that:
 * ``stats`` admin commands report per-tenant counters plus per-shard
   queue/window occupancy.
 
-Threading model: one **service thread** owns all protocol handling (so
-session state transitions are single-writer), one **pump thread per shard**
-moves tasks from that shard's fair-share queue into its DFK, delivery
-happens on the DFKs' completing threads through the hooks, and one
-**sender thread** does all socket writes. All shared state sits behind one
-re-entrant lock; each shard's pump sleeps on its own Condition tied to
-that lock. The store adds a single writer thread of its own whose
-group-commit callbacks enqueue client-visible acknowledgements.
+Sessions are driven through plain session-keyed methods (``open_session``,
+``resume_session``, ``submit``, ``cancel``, ``release_session``), called by
+the TCP service loop once it has decoded a frame and checked its token, and
+directly by :class:`~repro.service.http_edge.HttpEdge`. A session's results
+go to one *delivery target*: the TCP ``server.send`` of the connection bound
+to it, an edge stream's non-blocking sink, or nobody (detached: its TTL
+clock runs and results wait in the replay buffer).
+
+Threading model: session state is written by the **service thread** (TCP
+frames, session sweeps, the 1 Hz SLO tick), the HTTP edge's event loop, one
+**pump thread per shard**, the DFKs' completing threads (the hooks) and the
+store's writer thread (commit callbacks). One re-entrant lock, ``_lock``,
+guards all of it — sessions, tenant counters, the identity → session map,
+the task map, every shard's queue and window — and each pump sleeps on a
+Condition tied to it. Nothing does I/O under it: store calls only enqueue,
+and frames go through ``_outbound`` to one **sender thread**.
 """
 
 from __future__ import annotations
@@ -59,7 +67,12 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tu
 from repro.auth.tokens import TokenStore
 from repro.comms.server import MessageServer
 from repro.core.dflow import DataFlowKernel
-from repro.errors import ShardUnavailableError, TaskCancelledError
+from repro.errors import (
+    AuthenticationError,
+    SessionExpiredError,
+    ShardUnavailableError,
+    TaskCancelledError,
+)
 from repro.core.states import States
 from repro.core.taskrecord import TaskRecord
 from repro.observability.anomaly import StragglerDetector
@@ -116,15 +129,18 @@ class _TenantState:
 
 
 class _Session:
-    """One tenant session: identity binding, dedup table, replay buffer."""
+    """One tenant session: delivery binding, dedup table, replay buffer."""
 
-    def __init__(self, session_id: str, session_token: str, tenant: str,
-                 identity: Optional[str]):
+    def __init__(self, session_id: str, session_token: str, tenant: str):
         self.session_id = session_id
         self.session_token = session_token
         self.tenant = tenant
-        self.identity: Optional[str] = identity
-        self.disconnected_at: Optional[float] = None
+        #: The TCP connection bound to the session, if any.
+        self.identity: Optional[str] = None
+        #: Where result frames go (called on the sender thread); ``None``
+        #: while detached, when the TTL clock runs from ``disconnected_at``.
+        self.target: Optional[Callable[[Dict[str, Any]], Any]] = None
+        self.disconnected_at: Optional[float] = time.time()
         self.seq = 0
         #: Highest seq whose result frame has durably committed. Without a
         #: store this tracks ``seq`` exactly; with one, frames above it are
@@ -179,7 +195,6 @@ class WorkflowGateway:
         default_weight: Optional[int] = None,
         tenant_weights: Optional[Dict[str, int]] = None,
         max_client_weight: int = 16,
-        poll_period: float = 0.005,
         store: Optional[SessionStore] = None,
         store_path: Optional[str] = None,
         shard_vnodes: Optional[int] = None,
@@ -213,7 +228,6 @@ class WorkflowGateway:
         #: monopolize the fair-share queue — the exact starvation this
         #: subsystem exists to prevent. Operator-pinned weights are exempt.
         self.max_client_weight = max_client_weight
-        self.poll_period = poll_period
 
         self.server = MessageServer(
             host=host if host is not None else cfg.service_host,
@@ -297,23 +311,19 @@ class WorkflowGateway:
         self._trace_sampling = cfg.trace_sampling
         self._trace_rng = random.Random()
 
-        #: In-process peers (e.g. HTTP edge sessions): identity -> outbound
-        #: sink. A registered identity's frames bypass the TCP server; its
-        #: inbound messages arrive via :meth:`post`. Sinks must not block —
-        #: they run on the gateway's service and sender threads.
-        self._local_peers: Dict[str, Callable[[Dict[str, Any]], None]] = {}
         self._tenants: Dict[str, _TenantState] = {}
         self._sessions: Dict[str, _Session] = {}
+        #: TCP identity -> the session bound to it (present only while bound).
         self._identity_sessions: Dict[str, str] = {}
         #: (shard index, DFK task id) -> the queued item dict (kept whole so
         #: a dying shard's in-flight work can be re-routed to survivors).
         self._tasks: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        #: Result frames awaiting transmission. Completion hooks run on the
-        #: DFKs' completing threads, and a TCP send can block on a client
-        #: that stopped reading — so hooks enqueue here and a dedicated
-        #: sender thread does the socket work, keeping one stalled tenant
-        #: from blocking every other tenant's completions.
-        self._outbound: "queue.Queue[Tuple[str, Dict[str, Any]]]" = queue.Queue()
+        #: (delivery target, frame) pairs awaiting transmission. Completion
+        #: hooks run on the DFKs' completing threads, and a TCP send can
+        #: block on a client that stopped reading — so hooks enqueue here
+        #: and a dedicated sender thread does the socket work, keeping one
+        #: stalled tenant from blocking every other tenant's completions.
+        self._outbound: "queue.Queue[Tuple[Callable, Dict[str, Any]]]" = queue.Queue()
         self._stop_event = threading.Event()
         self._threads: list = []
         self._last_sweep = time.time()
@@ -393,6 +403,7 @@ class WorkflowGateway:
             for shard in self.shards:
                 if shard.cv is not None:
                     shard.cv.notify_all()
+        self.server.close()  # also wakes the service loop out of recv()
         for t in self._threads:
             t.join(timeout=2)
         for shard in self.shards:
@@ -407,7 +418,6 @@ class WorkflowGateway:
                 self._store.close()
             else:
                 self._store.abandon()
-        self.server.close()
 
     def __enter__(self) -> "WorkflowGateway":
         return self.start()
@@ -423,13 +433,10 @@ class WorkflowGateway:
         records = self._store.load()
         if not records:
             return
-        now = time.time()
         requeued = 0
         with self._lock:
             for rec in records.values():
-                session = _Session(rec.session_id, rec.session_token, rec.tenant,
-                                   identity=None)
-                session.disconnected_at = now  # TTL clock restarts at boot
+                session = _Session(rec.session_id, rec.session_token, rec.tenant)
                 session.seq = rec.seq
                 session.durable_seq = rec.seq
                 for seq, cid, success, buffer in rec.results:
@@ -466,53 +473,247 @@ class WorkflowGateway:
         )
 
     # ------------------------------------------------------------------
-    # In-process transport: local peers (the HTTP edge rides this)
+    # Session operations: the one session core both transports call
     # ------------------------------------------------------------------
-    def attach_local(self, identity: str, sink: Callable[[Dict[str, Any]], None]) -> None:
-        """Register an in-process peer: outbound frames for ``identity`` are
-        handed to ``sink`` instead of a TCP connection. The sink is called on
-        gateway threads and must return quickly (enqueue, don't process)."""
-        with self._lock:
-            self._local_peers[identity] = sink
+    def open_session(self, tenant: str, weight: Any = None,
+                     identity: Optional[str] = None) -> Dict[str, Any]:
+        """Open a fresh session for an authenticated ``tenant``; returns its welcome frame.
 
-    def detach_local(self, identity: str) -> None:
-        """Unregister a peer installed by :meth:`attach_local` (idempotent)."""
-        with self._lock:
-            self._local_peers.pop(identity, None)
-
-    def post(self, identity: str, message: Dict[str, Any]) -> None:
-        """Inject an inbound protocol message from an in-process peer.
-
-        The message flows through the same single-threaded service loop as
-        TCP traffic, so local and remote peers share every admission,
-        session, and dedup rule.
+        ``weight`` is the client's proposed fair-share weight: ignored for
+        pinned tenants, capped at ``max_client_weight`` otherwise. A TCP
+        caller passes its connection ``identity`` to bind the session's
+        deliveries (and detaches whatever session that connection served
+        before); without one the session starts detached. Any thread.
         """
-        self.server.inject(identity, message)
-
-    def _send(self, identity: str, frame: Dict[str, Any]) -> bool:
         with self._lock:
-            sink = self._local_peers.get(identity)
-        if sink is not None:
-            try:
-                sink(frame)
-                return True
-            except Exception:  # noqa: BLE001 - a dead edge session must not kill the loop
-                logger.exception("local peer %s sink failed", identity)
-                return False
-        return self.server.send(identity, frame)
+            state = self._tenant_state(tenant)
+            if (
+                tenant not in self.pinned_weights
+                and isinstance(weight, int)
+                and not isinstance(weight, bool)
+                and weight >= 1
+            ):
+                state.weight = min(weight, self.max_client_weight)
+                for shard in self.shards:
+                    shard.queue.set_weight(tenant, state.weight)
+            session = _Session(make_uid("sess"), secrets.token_hex(16), tenant)
+            self._sessions[session.session_id] = session
+            if identity is not None:
+                self._bind(session, identity=identity)
+            if self._store is not None:
+                # Enqueued before any of the session's results can be, so the
+                # writer commits the row first: a durable result never orphans.
+                self._store.save_session(session.session_id, tenant, session.session_token)
+            return self._welcome(session, resumed=False)
+
+    def resume_session(
+        self,
+        tenant: str,
+        session_id: str,
+        session_token: Optional[str],
+        last_seq: int = 0,
+        identity: Optional[str] = None,
+        sink: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+        """Check a session's credentials and (re)bind its deliveries.
+
+        Returns ``(welcome, replay)``. With a TCP ``identity`` or a
+        non-blocking ``sink``, results from now on go there, and ``replay``
+        holds the durable result frames with ``seq > last_seq`` that the
+        caller must deliver ahead of them. Without either, the binding is
+        left alone, a detached session's TTL clock restarts, and ``replay``
+        is empty. Any thread.
+
+        :raises repro.errors.SessionExpiredError: the session is unknown or
+            was evicted.
+        :raises repro.errors.AuthenticationError: the tenant or session
+            token does not match.
+        """
+        with self._lock:
+            session = self._sessions.get(session_id)
+            if session is None:
+                raise SessionExpiredError("unknown or expired session")
+            if session.tenant != tenant or session.session_token != session_token:
+                raise AuthenticationError("session credentials mismatch")
+            welcome = self._welcome(session, resumed=True)
+            if identity is None and sink is None:
+                if session.target is None:
+                    session.disconnected_at = time.time()
+                return welcome, []
+            self._bind(session, identity=identity, sink=sink)
+            # Replay stops at durable_seq: frames still committing are
+            # delivered by their own store callbacks, which run after this
+            # and read the new target — the client never sees a seq the
+            # store could forget in a crash.
+            return welcome, [
+                frame for frame in session.replay
+                if last_seq < frame["seq"] <= session.durable_seq
+            ]
+
+    def detach_session(self, session_id: str, sink: Callable[[Dict[str, Any]], Any]) -> None:
+        """Unbind ``sink`` (attached by :meth:`resume_session`) if it is
+        still the session's target; the session's TTL clock starts. Any thread."""
+        with self._lock:
+            session = self._sessions.get(session_id)
+            if session is not None and session.target is sink:
+                self._bind(session)
+
+    def release_session(self, session_id: str) -> None:
+        """Evict a session now (goodbye): no TTL, its results are dropped. Any thread."""
+        with self._lock:
+            session = self._sessions.pop(session_id, None)
+            if session is None:
+                return
+            self._bind(session)
+            if self._store is not None:
+                self._store.delete_session(session_id)
+
+    def has_session(self, session_id: str) -> bool:
+        """Whether the gateway still holds ``session_id`` (not evicted)."""
+        return session_id in self._sessions
+
+    def _bind(self, session: _Session, identity: Optional[str] = None,
+              sink: Optional[Callable[[Dict[str, Any]], Any]] = None) -> None:
+        """Deliver ``session``'s results to TCP peer ``identity``, to ``sink``,
+        or (neither) nowhere, starting its TTL clock. Caller holds the lock."""
+        if identity is not None:
+            stale = self._sessions.get(self._identity_sessions.get(identity) or "")
+            if stale is not None and stale is not session:
+                # A connection serves one session: the one it served before
+                # is detached so the TTL sweep can evict it.
+                self._bind(stale)
+            sink = self._tcp_target(identity)
+        if session.identity is not None:
+            self._identity_sessions.pop(session.identity, None)
+        if identity is not None:
+            self._identity_sessions[identity] = session.session_id
+        session.identity = identity
+        session.target = sink
+        session.disconnected_at = None if sink is not None else time.time()
+
+    def _tcp_target(self, identity: str) -> Callable[[Dict[str, Any]], bool]:
+        """The delivery target for TCP peer ``identity``."""
+        return lambda frame: self.server.send(identity, frame)
+
+    def _welcome(self, session: _Session, resumed: bool) -> Dict[str, Any]:
+        """Caller holds the lock."""
+        return protocol.welcome(
+            session.session_id,
+            session.session_token,
+            resumed=resumed,
+            max_inflight=self.max_inflight_per_tenant,
+            weight=self._tenant_state(session.tenant).weight,
+            shard=self._router.home(session.tenant).index,
+        )
+
+    def submit(self, session_id: str, cid: Any, buffer: Any,
+               resource_spec: Optional[Dict[str, Any]],
+               reply: Callable[[Dict[str, Any]], Any]) -> None:
+        """Admit one ``pack_apply_message`` task into a session. Any thread.
+
+        ``reply`` receives exactly one frame: ``accepted`` (with a durable
+        store only once the task's write-ahead row committed, and then on
+        the sender thread), ``busy``, ``error``, or — for a resend of a
+        finished task — its ``result``. A resend of a queued or running
+        ``cid`` is acknowledged again and never runs twice.
+        """
+        session = self._sessions.get(session_id) if session_id else None
+        if session is None:
+            reply(protocol.error("no session; send hello first"))
+            return
+        if not isinstance(cid, int):
+            reply(protocol.error("submit carries no client_task_id"))
+            return
+        try:
+            func, args, kwargs = unpack_apply_message(buffer)
+            spec = ResourceSpec.from_user(resource_spec)
+        except Exception as exc:  # noqa: BLE001 - a bad task must not kill the caller
+            reply(protocol.error(f"undecodable task: {exc!r}", cid))
+            return
+        # Everything that needs no gateway state is done before taking the
+        # lock: routing alone reads every lane of every shard's queue, and
+        # the pumps and completion hooks all wait on this lock.
+        item = self._make_item(session, cid, func, args, kwargs, spec)
+        trace_id = self._admit_item(item)
+        spec_blob = serialize(resource_spec) if resource_spec and self._store is not None else None
+        shard = self._router.route(session.tenant)
+        # One lock hold from the duplicate check to the "queued" mark: the
+        # same cid may arrive on two transports at once.
+        with self._lock:
+            status = session.seen.get(cid)
+            tenant = self._tenant_state(session.tenant)
+            if shard is not None and not shard.alive:
+                shard = self._router.route(session.tenant)  # died since routing
+            if self._sessions.get(session_id) is not session:
+                frame = protocol.error("no session; send hello first")  # evicted meanwhile
+            elif status == "done":
+                # Duplicate of a finished task (client resent after a
+                # reconnect race): replay its result instead of re-running —
+                # unless the frame is still committing, in which case its
+                # store callback will deliver it and an ack suffices here.
+                frame = session.done_results.get(cid)
+                if frame is None or frame["seq"] > session.durable_seq:
+                    frame = protocol.accepted(cid)
+            elif status is not None:
+                frame = protocol.accepted(cid)  # idempotent resend
+            elif tenant.inflight >= self.max_inflight_per_tenant:
+                frame = protocol.busy(cid, tenant.inflight, self.max_inflight_per_tenant)
+            elif shard is None:
+                frame = protocol.error(
+                    "no live shard available; retry later", cid,
+                    code="shard_unavailable", shard=self._router.home(session.tenant).index,
+                )
+            else:
+                frame = protocol.accepted(cid, trace_id=trace_id)
+                session.seen[cid] = "queued"
+                tenant.queued += 1
+                assert shard.cv is not None
+                shard.queue.put(session.tenant, item)
+                shard.cv.notify()
+                if self._store is not None:
+                    # Write-ahead: the ack waits for the commit (execution
+                    # may overlap it — results are themselves gated on
+                    # durability).
+                    self._store.append_task(
+                        session.session_id, cid, buffer, spec_blob,
+                        on_durable=lambda: self._outbound.put((reply, frame)),
+                    )
+                    return
+        reply(frame)
+
+    def cancel(self, session_id: str, cid: int) -> str:
+        """Cancel a task still in the fair-share queue. Any thread.
+
+        Returns ``cancelled`` (a failure result carrying
+        :class:`~repro.errors.TaskCancelledError` follows), ``running``,
+        ``done``, or ``unknown``.
+        """
+        with self._lock:
+            session = self._sessions.get(session_id)
+            status = session.seen.get(cid) if session is not None else None
+            if status == "queued":
+                # The item stays in the fair-share queue; the pump discards
+                # it at pop time and delivers the cancellation result.
+                session.cancelled.add(cid)
+                return "cancelled"
+            return status or "unknown"
 
     # ------------------------------------------------------------------
-    # Service loop: all protocol handling happens on this one thread
+    # TCP transport: the service loop decodes frames and calls the above
     # ------------------------------------------------------------------
     def _service_loop(self) -> None:
+        sweep_period = min(1.0, self.session_ttl_s / 2)
         while not self._stop_event.is_set():
             try:
-                received = self.server.recv(timeout=self.poll_period)
+                # Block until a frame arrives or the next sweep / SLO tick
+                # is due, whichever is first; close() wakes it at shutdown.
+                wake = min(self._last_sweep + sweep_period, self._last_slo_eval + 1.0)
+                received = self.server.recv(timeout=max(0.0, wake - time.time()))
                 while received is not None:
                     identity, message = received
                     self._handle(identity, message)
                     received = self.server.recv(timeout=0.0)
-                self._sweep_sessions()
+                self._sweep_sessions(sweep_period)
                 # Keep burn gauges and the active-alert set fresh (and fire
                 # on_alert promptly) even when nobody polls an alerts
                 # surface; throttled to ~1 Hz.
@@ -525,166 +726,87 @@ class WorkflowGateway:
                 logger.exception("gateway service loop error")
 
     def _handle(self, identity: str, message: Any) -> None:
+        send = self.server.send
         if not isinstance(message, dict):
-            self._send(identity, protocol.error("messages must be dicts"))
+            send(identity, protocol.error("messages must be dicts"))
             return
         mtype = message.get("type")
+        session_id = self._identity_sessions.get(identity)
         if mtype == "registration":
             return  # comms-level; the session starts at hello
         if mtype == "hello":
             self._handle_hello(identity, message)
         elif mtype == "submit":
-            self._handle_submit(identity, message)
+            self.submit(
+                session_id, message.get("client_task_id"), message.get("buffer"),
+                message.get("resource_spec"), self._tcp_target(identity),
+            )
         elif mtype == "cancel":
-            self._handle_cancel(identity, message)
-        elif mtype == "stats":
-            self._send(
-                identity,
-                protocol.stats_reply(
-                    int(message.get("req_id") or 0), self.stats(), shards=self.shard_stats()
-                ),
-            )
-        elif mtype == "metrics":
-            self._send(
-                identity,
-                protocol.metrics_reply(
-                    int(message.get("req_id") or 0), self.render_metrics()
-                ),
-            )
-        elif mtype == "alerts":
-            self._send(
-                identity,
-                protocol.alerts_reply(
-                    int(message.get("req_id") or 0), self.alerts_snapshot()
-                ),
-            )
-        elif mtype == "goodbye":
-            self._drop_identity(identity, evict_session=True)
-        elif mtype == "peer_lost":
-            self._drop_identity(identity, evict_session=False)
+            cid = message.get("client_task_id")
+            if not isinstance(cid, int):
+                send(identity, protocol.error("cancel carries no client_task_id"))
+            elif session_id is None:
+                send(identity, protocol.error("no session; send hello first"))
+            else:
+                send(identity, protocol.cancel_reply(cid, self.cancel(session_id, cid)))
+        elif mtype in ("stats", "metrics", "alerts"):
+            req_id = int(message.get("req_id") or 0)
+            if mtype == "stats":
+                reply = protocol.stats_reply(req_id, self.stats(), shards=self.shard_stats())
+            elif mtype == "metrics":
+                reply = protocol.metrics_reply(req_id, self.render_metrics())
+            else:
+                reply = protocol.alerts_reply(req_id, self.alerts_snapshot())
+            send(identity, reply)
+        elif mtype in ("goodbye", "peer_lost"):
+            with self._lock:
+                # The map holds the identity only while it is still bound, so
+                # a connection superseded by a resume elsewhere finds nothing.
+                session = self._sessions.get(self._identity_sessions.get(identity) or "")
+                if session is None:
+                    return
+                if mtype == "goodbye":
+                    self.release_session(session.session_id)
+                else:
+                    self._bind(session)
         else:
-            self._send(identity, protocol.error(f"unknown message type {mtype!r}"))
+            send(identity, protocol.error(f"unknown message type {mtype!r}"))
 
-    # ------------------------------------------------------------------
     def _handle_hello(self, identity: str, message: Dict[str, Any]) -> None:
         tenant = message.get("tenant")
         if not isinstance(tenant, str) or not tenant:
-            self._send(identity, protocol.auth_error("hello carries no tenant name"))
+            self.server.send(identity, protocol.auth_error("hello carries no tenant name"))
             return
         if self.token_store is not None and not self.token_store.validate(
             protocol.token_scope(tenant), message.get("token")
         ):
-            self._send(
+            self.server.send(
                 identity,
                 protocol.auth_error(f"invalid or expired token for tenant {tenant!r}"),
             )
             return
-        if "session" in message:
-            self._resume_session(identity, tenant, message)
+        if "session" not in message:
+            welcome = self.open_session(tenant, message.get("weight"), identity=identity)
+            self.server.send(identity, welcome)
             return
-        # Fresh session ------------------------------------------------
-        with self._lock:
-            # A fresh hello on a connection that already owns a session
-            # abandons the old one: unbind it so the TTL sweep can evict it
-            # (left bound, it would never be swept and would leak — and its
-            # results would be sent to a connection that no longer serves it).
-            stale_id = self._identity_sessions.pop(identity, None)
-            stale = self._sessions.get(stale_id) if stale_id else None
-            if stale is not None and stale.identity == identity:
-                stale.identity = None
-                stale.disconnected_at = time.time()
-            state = self._tenant_state(tenant)
-            proposed = message.get("weight")
-            if (
-                tenant not in self.pinned_weights
-                and isinstance(proposed, int)
-                and not isinstance(proposed, bool)
-                and proposed >= 1
-            ):
-                granted = min(proposed, self.max_client_weight)
-                state.weight = granted
-                for shard in self.shards:
-                    shard.queue.set_weight(tenant, granted)
-            session = _Session(
-                session_id=make_uid("sess"),
-                session_token=secrets.token_hex(16),
-                tenant=tenant,
-                identity=identity,
-            )
-            self._sessions[session.session_id] = session
-            self._identity_sessions[identity] = session.session_id
-            weight = state.weight
-        if self._store is not None:
-            # Enqueued before any of the session's results can be, so the
-            # writer commits the row first: a durable result never orphans.
-            self._store.save_session(session.session_id, tenant, session.session_token)
-        self._send(
-            identity,
-            protocol.welcome(
-                session.session_id,
-                session.session_token,
-                resumed=False,
-                max_inflight=self.max_inflight_per_tenant,
-                weight=weight,
-                shard=self._router.home(tenant).index,
-            ),
-        )
-
-    def _resume_session(self, identity: str, tenant: str, message: Dict[str, Any]) -> None:
         last_seq = int(message.get("last_seq") or 0)
+        send = self._tcp_target(identity)
         with self._lock:
-            session = self._sessions.get(message.get("session"))
-            if session is None:
-                outcome = protocol.auth_error("unknown or expired session")
-                replay: list = []
-            elif (
-                session.tenant != tenant
-                or session.session_token != message.get("session_token")
-            ):
-                outcome = protocol.auth_error("session credentials mismatch")
-                replay = []
-                session = None
-            else:
-                # Unbind whatever session this connection served before (as
-                # the fresh-hello path does): left bound, it would never be
-                # TTL-swept and its results would be routed to a connection
-                # that now serves a different session.
-                stale_id = self._identity_sessions.pop(identity, None)
-                stale = self._sessions.get(stale_id) if stale_id else None
-                if stale is not None and stale is not session and stale.identity == identity:
-                    stale.identity = None
-                    stale.disconnected_at = time.time()
-                previous = session.identity
-                if previous is not None and previous != identity:
-                    self._identity_sessions.pop(previous, None)
-                session.identity = identity
-                session.disconnected_at = None
-                self._identity_sessions[identity] = session.session_id
-                weight = self._tenant_state(tenant).weight
-                outcome = protocol.welcome(
-                    session.session_id,
-                    session.session_token,
-                    resumed=True,
-                    max_inflight=self.max_inflight_per_tenant,
-                    weight=weight,
-                    shard=self._router.home(tenant).index,
+            try:
+                welcome, replay = self.resume_session(
+                    tenant, message.get("session"), message.get("session_token"),
+                    last_seq, identity=identity,
                 )
-                # Replay stops at durable_seq: frames still committing are
-                # delivered by their own store callbacks (which run after
-                # this enqueue and observe the new identity) — the client
-                # never sees a seq the store could forget in a crash.
-                replay = [
-                    frame for frame in session.replay
-                    if last_seq < frame["seq"] <= session.durable_seq
-                ]
+            except (SessionExpiredError, AuthenticationError) as exc:
+                welcome, replay = protocol.auth_error(str(exc)), []
             # Enqueue the welcome + replay train while still holding the
             # lock. _deliver enqueues under the same lock, so the sender
             # thread — the single writer per peer — observes result frames
             # in seq order: a task completing during the resume cannot
             # overtake its own replay and trick the client's duplicate
             # filter into discarding the rest of the train.
-            for frame in [outcome] + replay:
-                self._outbound.put((identity, frame))
+            for frame in [welcome] + replay:
+                self._outbound.put((send, frame))
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -722,101 +844,6 @@ class WorkflowGateway:
             item["trace"] = trace
             return trace["id"]
         return None
-
-    def _handle_submit(self, identity: str, message: Dict[str, Any]) -> None:
-        with self._lock:
-            session_id = self._identity_sessions.get(identity)
-            session = self._sessions.get(session_id) if session_id else None
-        if session is None:
-            self._send(identity, protocol.error("no session; send hello first"))
-            return
-        cid = message.get("client_task_id")
-        if not isinstance(cid, int):
-            self._send(identity, protocol.error("submit carries no client_task_id"))
-            return
-        with self._lock:
-            status = session.seen.get(cid)
-            if status == "done":
-                # Duplicate of a finished task (client resent after a
-                # reconnect race): replay its result instead of re-running —
-                # unless the frame is still committing, in which case its
-                # store callback will deliver it and an ack suffices here.
-                frame = session.done_results.get(cid)
-                if frame is not None and frame["seq"] > session.durable_seq:
-                    frame = None
-                self._send(identity, frame or protocol.accepted(cid))
-                return
-            if status is not None:
-                self._send(identity, protocol.accepted(cid))  # idempotent resend
-                return
-            tenant = self._tenant_state(session.tenant)
-            if tenant.inflight >= self.max_inflight_per_tenant:
-                self._send(
-                    identity, protocol.busy(cid, tenant.inflight, self.max_inflight_per_tenant)
-                )
-                return
-        try:
-            func, args, kwargs = unpack_apply_message(message["buffer"])
-            spec = ResourceSpec.from_user(message.get("resource_spec"))
-        except Exception as exc:  # noqa: BLE001 - bad task must not kill the loop
-            self._send(identity, protocol.error(f"undecodable task: {exc!r}", cid))
-            return
-        shard = self._router.route(session.tenant)
-        if shard is None:
-            self._send(
-                identity,
-                protocol.error(
-                    "no live shard available; retry later", cid,
-                    code="shard_unavailable", shard=self._router.home(session.tenant).index,
-                ),
-            )
-            return
-        item = self._make_item(session, cid, func, args, kwargs, spec)
-        trace_id = self._admit_item(item)
-        assert shard.cv is not None
-        with shard.cv:
-            session.seen[cid] = "queued"
-            tenant.queued += 1
-            shard.queue.put(session.tenant, item)
-            shard.cv.notify()
-        if self._store is not None:
-            # Write-ahead: the client's ack waits for the commit (execution
-            # may overlap it — the fsync and the task race harmlessly, since
-            # results are themselves gated on durability).
-            self._store.append_task(
-                session.session_id, cid, message["buffer"],
-                serialize(message.get("resource_spec")) if message.get("resource_spec") else None,
-                on_durable=lambda: self._outbound.put(
-                    (identity, protocol.accepted(cid, trace_id=trace_id))
-                ),
-            )
-        else:
-            self._send(identity, protocol.accepted(cid, trace_id=trace_id))
-
-    # ------------------------------------------------------------------
-    def _handle_cancel(self, identity: str, message: Dict[str, Any]) -> None:
-        cid = message.get("client_task_id")
-        if not isinstance(cid, int):
-            self._send(identity, protocol.error("cancel carries no client_task_id"))
-            return
-        with self._lock:
-            session_id = self._identity_sessions.get(identity)
-            session = self._sessions.get(session_id) if session_id else None
-            if session is None:
-                self._send(identity, protocol.error("no session; send hello first"))
-                return
-            status = session.seen.get(cid)
-            if status == "queued":
-                # The item stays in the fair-share queue; the pump discards
-                # it at pop time and delivers the cancellation result, so
-                # ordering/accounting stay single-writer.
-                session.cancelled.add(cid)
-                reply = "cancelled"
-            elif status in ("running", "done"):
-                reply = status
-            else:
-                reply = "unknown"
-        self._send(identity, protocol.cancel_reply(cid, reply))
 
     def task_state(self, session_id: str, cid: int) -> Optional[Tuple[str, Optional[Dict[str, Any]]]]:
         """In-process status probe: ``(status, result_frame)`` or ``None``.
@@ -1000,18 +1027,17 @@ class WorkflowGateway:
                 session.seen.pop(evicted["client_task_id"], None)
             if self._store is None:
                 session.durable_seq = session.seq
-                identity = session.identity
-                if identity is not None:
+                if session.target is not None:
                     # Enqueued under the lock so the sender thread sees
                     # frames in seq order even when a resume is replaying
-                    # concurrently (see _resume_session).
-                    self._outbound.put((identity, frame))
+                    # concurrently (see resume_session).
+                    self._outbound.put((session.target, frame))
             else:
                 # Durable delivery: the frame leaves the building only after
                 # its commit. Callbacks fire in enqueue order on the store's
                 # writer thread (and _deliver runs under the lock), so per-
                 # session seq order is preserved end to end; reading the
-                # identity at callback time routes to wherever the session
+                # target at callback time routes to wherever the session
                 # lives by then.
                 self._store.append_result(
                     session_id, frame["seq"], cid, success, buffer, self.replay_limit,
@@ -1025,23 +1051,22 @@ class WorkflowGateway:
             if session is None:
                 return
             session.durable_seq = max(session.durable_seq, frame["seq"])
-            identity = session.identity
-            if identity is not None:
-                self._outbound.put((identity, frame))
+            if session.target is not None:
+                self._outbound.put((session.target, frame))
 
     def _sender_loop(self) -> None:
         """Drain result frames to clients off the DFKs' completing threads."""
         while not self._stop_event.is_set():
             try:
-                identity, frame = self._outbound.get(timeout=0.1)
+                target, frame = self._outbound.get(timeout=0.1)
             except queue.Empty:
                 continue
             try:
-                # send() returns False for a vanished peer — the frame stays
+                # A send to a vanished peer fails quietly — the frame stays
                 # in the session's replay buffer for the eventual resume.
-                self._send(identity, frame)
+                target(frame)
             except Exception:  # noqa: BLE001 - one bad peer must not stop the drain
-                logger.exception("gateway failed sending a result to %s", identity)
+                logger.exception("gateway failed sending a %s frame", frame.get("type"))
 
     # ------------------------------------------------------------------
     # Shard lifecycle
@@ -1118,30 +1143,16 @@ class WorkflowGateway:
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
-    def _drop_identity(self, identity: str, evict_session: bool) -> None:
-        with self._lock:
-            session_id = self._identity_sessions.pop(identity, None)
-            session = self._sessions.get(session_id) if session_id else None
-            if session is None or session.identity != identity:
-                return  # already superseded by a resume on a new connection
-            if evict_session:
-                self._sessions.pop(session.session_id, None)
-                if self._store is not None:
-                    self._store.delete_session(session.session_id)
-            else:
-                session.identity = None
-                session.disconnected_at = time.time()
-
-    def _sweep_sessions(self) -> None:
+    def _sweep_sessions(self, period: float) -> None:
         now = time.time()
-        if now - self._last_sweep < min(1.0, self.session_ttl_s / 2):
+        if now - self._last_sweep < period:
             return
         self._last_sweep = now
         with self._lock:
             expired = [
                 s
                 for s in self._sessions.values()
-                if s.identity is None
+                if s.target is None
                 and s.disconnected_at is not None
                 and now - s.disconnected_at > self.session_ttl_s
             ]

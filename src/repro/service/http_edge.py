@@ -29,24 +29,30 @@ GET    ``/v1/alerts``               live SLO burn alerts, per-tenant window
                                     state, stragglers, sick workers (no auth)
 ====== ============================ ==========================================
 
-Every edge session is an **in-process gateway peer**: the edge registers a
-local sink (:meth:`WorkflowGateway.attach_local`) and injects protocol
-frames through :meth:`WorkflowGateway.post`, so submissions take exactly the
-``pack_apply_message`` path remote TCP clients take — token auth, fair-share
+The edge holds no session logic of its own: every request calls the
+gateway's session operations directly (:meth:`WorkflowGateway.open_session`,
+:meth:`~WorkflowGateway.resume_session`, :meth:`~WorkflowGateway.submit`,
+:meth:`~WorkflowGateway.cancel`, :meth:`~WorkflowGateway.release_session`),
+the same methods the TCP service loop calls. Submissions therefore take
+exactly the ``pack_apply_message`` path remote TCP clients take — fair-share
 admission, per-tenant backpressure (surfaced as HTTP **429** with a
 ``Retry-After`` header), dedup, replay, and walltime enforcement all apply
 unchanged, and a tenant's HTTP and TCP traffic share one set of admission
-counters.
+counters. Per session the edge keeps only its SSE queue and its
+auto-assign ``client_task_id`` counter.
 
 Auth mirrors the TCP handshake: ``Authorization: Bearer <token>`` checked
 against the gateway's TokenStore scope ``gateway/<tenant>``, with the tenant
 named by the ``X-Repro-Tenant`` header. Session-scoped requests additionally
 carry ``X-Repro-Session`` / ``X-Repro-Session-Token`` (query parameters
 ``session`` / ``session_token`` work too, for SSE consumers that cannot set
-headers). An unknown session id with valid credentials is *resumed* through
-the gateway (this is how clients survive an edge restart); a session the
-gateway no longer knows answers **410 Gone**, the signal for SDKs to open a
-fresh session and resubmit unfinished work.
+headers). Session credentials are checked by the gateway on every request,
+so any session the gateway holds — including one opened over TCP — can be
+used over HTTP; a session the gateway no longer knows (released, TTL-expired,
+or lost in a restart) answers **410 Gone**, the signal for SDKs to open a
+fresh session and resubmit unfinished work. A session with no SSE stream
+attached is detached at the gateway, which releases it once no request has
+touched it for ``session_ttl_s``.
 
 Submissions name their callable either as ``fn`` — a name registered via
 :meth:`HttpEdge.register` (or, when ``allow_dotted_paths`` is enabled, an
@@ -55,10 +61,11 @@ importable ``"pkg.mod:func"`` path) invoked with JSON args — or as
 arbitrary-callable path; exactly what TCP clients send).
 
 The SSE stream maps ``Last-Event-ID`` straight onto the session's
-``last_seq`` replay machinery: attaching re-runs the gateway's resume
-handshake with that cursor, so the replayed suffix is exactly the unseen
-results. One stream per session is live at a time; a newer attach gracefully
-ends the older one with a ``done`` event. A stream whose reader stalls past
+``last_seq`` replay machinery: attaching binds the stream's sink to the
+session with that cursor, and the replayed suffix — exactly the unseen
+results — enters the stream's queue before any live result can. One stream
+per session is live at a time; a newer attach gracefully ends the older one
+with a ``done`` event. A stream whose reader stalls past
 its bounded buffer is dropped (the results stay in the replay buffer for the
 next resume) so one slow consumer cannot pin edge memory.
 """
@@ -71,10 +78,10 @@ import importlib
 import json
 import logging
 import threading
-import time
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.errors import AuthenticationError, SessionExpiredError
 from repro.service import protocol
 from repro.service.api_types import (
     SessionInfo,
@@ -86,7 +93,6 @@ from repro.service.api_types import (
 )
 from repro.service.gateway import WorkflowGateway
 from repro.serialize import pack_apply_message
-from repro.utils.ids import make_uid
 
 logger = logging.getLogger(__name__)
 
@@ -149,30 +155,14 @@ class _Request:
 
 
 class _EdgeSession:
-    """Edge-side state for one gateway session (one local-peer identity)."""
+    """Edge-side state for one gateway session: its SSE queue and cid counter."""
 
-    def __init__(self, identity: str, tenant: str):
-        self.identity = identity
-        self.tenant = tenant
-        self.info: Optional[SessionInfo] = None
-        self.next_cid = 0
-        self.last_used = time.monotonic()
-        #: cid -> future resolved by the accepted/busy/error reply.
-        self.acks: Dict[int, asyncio.Future] = {}
-        #: cid -> future resolved by a cancel_reply.
-        self.cancels: Dict[int, asyncio.Future] = {}
-        #: Pending welcome/auth_error waiter for an in-flight hello.
-        self.hello_waiter: Optional[asyncio.Future] = None
+    __slots__ = ("stream", "next_cid")
+
+    def __init__(self) -> None:
         #: The one live SSE stream queue (newer attach supersedes older).
         self.stream: Optional[asyncio.Queue] = None
-
-    @property
-    def session_id(self) -> str:
-        assert self.info is not None
-        return self.info.session
-
-    def touch(self) -> None:
-        self.last_used = time.monotonic()
+        self.next_cid = 0
 
     def claim_cid(self, requested: Optional[int]) -> int:
         if requested is not None:
@@ -249,7 +239,7 @@ class HttpEdge:
         return self
 
     def stop(self) -> None:
-        """Shut the server down: close listeners, end live SSE streams, detach every HTTP session from the gateway. Idempotent."""
+        """Shut the server down: close listeners, end live SSE streams, release every HTTP session at the gateway. Idempotent."""
         loop, thread = self._loop, self._thread
         if loop is None or thread is None:
             return
@@ -302,94 +292,55 @@ class HttpEdge:
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
-        for ses in list(self._sessions.values()):
-            self._close_session(ses, goodbye=True)
+        for session_id, ses in list(self._sessions.items()):
+            self._close_session(session_id, ses)
         if self._sweeper is not None:
             self._sweeper.cancel()
         loop = asyncio.get_running_loop()
         loop.stop()
 
-    def _close_session(self, ses: _EdgeSession, goodbye: bool) -> None:
-        self._sessions.pop(ses.info.session if ses.info else "", None)
+    def _close_session(self, session_id: str, ses: _EdgeSession) -> None:
         if ses.stream is not None:
-            self._stream_put(ses, _STREAM_CLOSE)
+            self._stream_put(session_id, _STREAM_CLOSE)
             ses.stream = None
-        if goodbye:
-            try:
-                self.gateway.post(ses.identity, protocol.goodbye())
-            except Exception:  # noqa: BLE001 - gateway may already be down
-                pass
-        self.gateway.detach_local(ses.identity)
+        self._sessions.pop(session_id, None)
+        self.gateway.release_session(session_id)
 
     async def _sweep_idle_sessions(self) -> None:
-        """Release sessions no request or stream has touched for the TTL.
+        """Forget the edge state of sessions the gateway released.
 
-        Local peers never 'disconnect', so without this sweep an abandoned
-        curl session would pin its replay buffer forever — the edge applies
-        the same TTL the gateway applies to vanished TCP clients.
+        The gateway applies its session TTL to HTTP sessions with no stream
+        attached; this sweep drops the edge's queue/counter for them so an
+        abandoned curl session does not pin edge memory forever.
         """
-        ttl = self.gateway.session_ttl_s
         while True:
-            await asyncio.sleep(min(ttl / 2, 5.0))
-            now = time.monotonic()
-            for ses in list(self._sessions.values()):
-                if ses.stream is None and now - ses.last_used > ttl:
-                    logger.info("http edge releasing idle session %s", ses.session_id)
-                    self._close_session(ses, goodbye=True)
+            await asyncio.sleep(min(self.gateway.session_ttl_s / 2, 5.0))
+            for session_id in list(self._sessions):
+                if not self.gateway.has_session(session_id):
+                    del self._sessions[session_id]
 
     # ------------------------------------------------------------------
-    # Gateway frame plumbing (sink runs on gateway threads)
+    # Crossing from gateway threads onto the loop
     # ------------------------------------------------------------------
-    def _make_sink(self, ses: _EdgeSession) -> Callable[[Dict[str, Any]], None]:
+    def _call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` on the edge loop; any thread, never blocks."""
+        loop = self._loop
+        try:
+            if loop is not None:
+                loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:
+            pass  # loop closed: a result stays in the replay buffer
+
+    def _stream_sink(self, session_id: str) -> Callable[[Dict[str, Any]], None]:
+        """A delivery target for :meth:`WorkflowGateway.resume_session`: feeds
+        the session's current SSE queue (called on the gateway's sender thread)."""
         def sink(frame: Dict[str, Any]) -> None:
-            loop = self._loop
-            if loop is None or loop.is_closed():
-                return
-            try:
-                loop.call_soon_threadsafe(self._dispatch_frame, ses, frame)
-            except RuntimeError:
-                pass  # loop shut down between the check and the call
+            self._call_soon(self._stream_put, session_id, frame)
         return sink
 
-    def _dispatch_frame(self, ses: _EdgeSession, frame: Dict[str, Any]) -> None:
-        mtype = frame.get("type")
-        if mtype in ("welcome", "auth_error"):
-            waiter, ses.hello_waiter = ses.hello_waiter, None
-            if waiter is not None and not waiter.done():
-                waiter.set_result(frame)
-            else:
-                # A stream-resume handshake (no waiter) takes its reply
-                # through the stream queue so the welcome stays ordered with
-                # the replay train behind it (see _route_stream).
-                self._stream_put(ses, frame)
-        elif mtype in ("accepted", "busy"):
-            waiter = ses.acks.pop(frame.get("client_task_id"), None)
-            if waiter is not None and not waiter.done():
-                waiter.set_result(frame)
-        elif mtype == "cancel_reply":
-            waiter = ses.cancels.pop(frame.get("client_task_id"), None)
-            if waiter is not None and not waiter.done():
-                waiter.set_result(frame)
-        elif mtype == "result":
-            # A duplicate submit of a finished task is answered with the
-            # result frame itself; a pending ack waiter counts that as
-            # acceptance (the stream/replay still carries the result).
-            waiter = ses.acks.pop(frame.get("client_task_id"), None)
-            if waiter is not None and not waiter.done():
-                waiter.set_result({"type": "accepted",
-                                   "client_task_id": frame.get("client_task_id")})
-            ses.touch()
-            self._stream_put(ses, frame)
-        elif mtype == "error":
-            cid = frame.get("client_task_id")
-            waiter = ses.acks.pop(cid, None) if cid is not None else None
-            if waiter is not None and not waiter.done():
-                waiter.set_result(frame)
-            else:
-                logger.warning("gateway error on %s: %s", ses.identity, frame.get("reason"))
-
-    def _stream_put(self, ses: _EdgeSession, item: Any) -> None:
-        queue = ses.stream
+    def _stream_put(self, session_id: str, item: Any) -> None:
+        ses = self._sessions.get(session_id)
+        queue = ses.stream if ses is not None else None
         if queue is None:
             return  # no stream attached: the replay buffer is the record
         try:
@@ -400,7 +351,7 @@ class HttpEdge:
             # Make room for the close sentinel so the serving coroutine stops
             # draining into the stalled socket instead of sitting on ~256
             # buffered events; the dropped event stays in the replay buffer.
-            logger.warning("http edge dropping stalled stream for %s", ses.identity)
+            logger.warning("http edge dropping stalled stream for %s", session_id)
             ses.stream = None
             try:
                 queue.get_nowait()
@@ -411,65 +362,37 @@ class HttpEdge:
     # ------------------------------------------------------------------
     # Session management (all on the loop thread)
     # ------------------------------------------------------------------
-    async def _hello(self, ses: _EdgeSession, hello_frame: Dict[str, Any]) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        waiter: asyncio.Future = loop.create_future()
-        ses.hello_waiter = waiter
-        self.gateway.post(ses.identity, hello_frame)
-        try:
-            return await asyncio.wait_for(waiter, timeout=self.request_timeout)
-        except asyncio.TimeoutError:
-            ses.hello_waiter = None
-            raise _HttpError(503, "gateway handshake timed out")
+    def _open_session(self, tenant: str, weight: Optional[int] = None) -> SessionInfo:
+        info = SessionInfo.from_json(self.gateway.open_session(tenant, weight))
+        self._sessions[info.session] = _EdgeSession()
+        return info
 
-    async def _open_session(self, tenant: str, token: Optional[str],
-                            weight: Optional[int] = None) -> _EdgeSession:
-        ses = _EdgeSession(make_uid("http"), tenant)
-        self.gateway.attach_local(ses.identity, self._make_sink(ses))
+    def _resume_session(
+        self, tenant: str, session_id: str, session_token: Optional[str],
+        last_seq: int = 0, sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+    ) -> Tuple[SessionInfo, List[Dict[str, Any]]]:
+        """Check a session's credentials at the gateway (410 once it is
+        gone, 403 on a mismatch) and, with a ``sink``, attach it; returns
+        the session and the replay the sink's stream must start with."""
+        if session_token is None and session_id not in self._sessions:
+            raise _HttpError(403, "missing X-Repro-Session-Token header")
         try:
-            frame = await self._hello(ses, protocol.hello(tenant, token, weight=weight))
-            if frame["type"] != "welcome":
-                raise _HttpError(401, str(frame.get("reason", "authentication failed")))
-        except BaseException:
-            self.gateway.detach_local(ses.identity)
-            raise
-        ses.info = SessionInfo.from_json(frame)
-        self._sessions[ses.info.session] = ses
-        return ses
-
-    async def _resume_session(self, tenant: str, token: Optional[str], session_id: str,
-                              session_token: str, last_seq: int = 0) -> _EdgeSession:
-        """Re-attach to a gateway session this edge doesn't hold (edge
-        restart, or a TCP client migrating to HTTP). 410 when the gateway
-        evicted it — the SDK's cue to start over."""
-        ses = _EdgeSession(make_uid("http"), tenant)
-        self.gateway.attach_local(ses.identity, self._make_sink(ses))
-        try:
-            frame = await self._hello(
-                ses,
-                protocol.hello(tenant, token, session=session_id,
-                               session_token=session_token, last_seq=last_seq),
+            welcome, replay = self.gateway.resume_session(
+                tenant, session_id, session_token, last_seq, sink=sink
             )
-            if frame["type"] != "welcome":
-                reason = str(frame.get("reason", ""))
-                if "unknown or expired" in reason:
-                    status = 410
-                elif "mismatch" in reason:
-                    status = 403
-                else:
-                    status = 401
-                raise _HttpError(status, reason or "authentication failed")
-        except BaseException:
-            self.gateway.detach_local(ses.identity)
-            raise
-        ses.info = SessionInfo.from_json(frame)
-        self._sessions[ses.info.session] = ses
-        return ses
+        except SessionExpiredError as exc:
+            self._sessions.pop(session_id, None)
+            raise _HttpError(410, str(exc))
+        except AuthenticationError as exc:
+            raise _HttpError(403, str(exc))
+        self._sessions.setdefault(session_id, _EdgeSession())
+        return SessionInfo.from_json(welcome), replay
 
     # ------------------------------------------------------------------
     # Auth / request helpers
     # ------------------------------------------------------------------
-    def _authenticate(self, request: _Request) -> Tuple[str, Optional[str]]:
+    def _authenticate(self, request: _Request) -> str:
+        """The request's tenant, once its bearer token checks out."""
         tenant = request.headers.get("x-repro-tenant") or request.query.get("tenant")
         if not tenant:
             raise _HttpError(400, "missing X-Repro-Tenant header")
@@ -480,7 +403,7 @@ class HttpEdge:
         store = self.gateway.token_store
         if store is not None and not store.validate(protocol.token_scope(tenant), token):
             raise _HttpError(401, f"invalid or expired token for tenant {tenant!r}")
-        return tenant, token
+        return tenant
 
     def _session_credentials(self, request: _Request) -> Tuple[Optional[str], Optional[str]]:
         sid = request.headers.get("x-repro-session") or request.query.get("session")
@@ -488,24 +411,12 @@ class HttpEdge:
                   or request.query.get("session_token"))
         return sid, stoken
 
-    async def _session_for(self, request: _Request, tenant: str, token: Optional[str],
-                           sid: Optional[str], stoken: Optional[str],
-                           auto_create: bool, last_seq: int = 0) -> Tuple[_EdgeSession, bool]:
-        """Resolve the request's session; returns ``(session, created)``."""
-        if sid is None:
-            if not auto_create:
-                raise _HttpError(400, "missing X-Repro-Session header")
-            return await self._open_session(tenant, token), True
-        ses = self._sessions.get(sid)
-        if ses is not None:
-            if ses.tenant != tenant or not ses.info or ses.info.session_token != stoken:
-                raise _HttpError(403, "session credentials mismatch")
-            ses.touch()
-            return ses, False
-        if stoken is None:
-            raise _HttpError(403, "missing X-Repro-Session-Token header")
-        ses = await self._resume_session(tenant, token, sid, stoken, last_seq=last_seq)
-        return ses, False
+    @staticmethod
+    def _as_int(value: Any, name: str) -> int:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise _HttpError(400, f"{name} must be an integer, got {value!r}")
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -672,96 +583,97 @@ class HttpEdge:
 
     async def _route_open_session(self, request: _Request,
                                   writer: asyncio.StreamWriter) -> bool:
-        tenant, token = self._authenticate(request)
+        tenant = self._authenticate(request)
         body = request.json()
         session_id = body.get("session")
         if session_id:
-            ses = await self._resume_session(
-                tenant, token, str(session_id), str(body.get("session_token") or ""),
-                last_seq=int(body.get("last_seq") or 0),
+            info, _replay = self._resume_session(
+                tenant, str(session_id), str(body.get("session_token") or ""),
+                last_seq=self._as_int(body.get("last_seq") or 0, "last_seq"),
             )
         else:
             weight = body.get("weight")
-            ses = await self._open_session(
-                tenant, token, weight=int(weight) if weight is not None else None
+            info = self._open_session(
+                tenant, weight=self._as_int(weight, "weight") if weight is not None else None
             )
-        await self._respond_json(writer, 201, ses.info.to_json())
+        await self._respond_json(writer, 201, info.to_json())
         return True
 
     async def _route_close_session(self, request: _Request, writer: asyncio.StreamWriter,
                                    session_id: str) -> bool:
-        tenant, _token = self._authenticate(request)
+        tenant = self._authenticate(request)
         ses = self._sessions.get(session_id)
         if ses is None:
             raise _HttpError(410, "unknown or expired session")
         _sid, stoken = self._session_credentials(request)
-        if ses.tenant != tenant or not ses.info or ses.info.session_token != stoken:
-            raise _HttpError(403, "session credentials mismatch")
-        self._close_session(ses, goodbye=True)
+        self._resume_session(tenant, session_id, stoken)
+        self._close_session(session_id, ses)
         await self._respond_json(writer, 200, {"released": session_id})
         return True
 
     async def _route_submit(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
-        tenant, token = self._authenticate(request)
+        tenant = self._authenticate(request)
         sid, stoken = self._session_credentials(request)
-        ses, created = await self._session_for(request, tenant, token, sid, stoken,
-                                               auto_create=True)
+        # A submit without a session opens one and hands its token back.
+        new_token: Optional[str] = None
+        if sid is None:
+            info = self._open_session(tenant)
+            sid, new_token = info.session, info.session_token
+        else:
+            self._resume_session(tenant, sid, stoken)
+        ses = self._sessions[sid]
         body = request.json()
         buffer = self._build_buffer(body)
-        spec = dict(body.get("resource_spec") or {})
+        raw_spec = body.get("resource_spec") or {}
+        if not isinstance(raw_spec, dict):
+            raise _HttpError(400, "'resource_spec' must be an object")
+        spec = dict(raw_spec)
         if body.get("priority") is not None:
-            spec["priority"] = int(body["priority"])
+            spec["priority"] = self._as_int(body["priority"], "priority")
         requested = body.get("client_task_id")
         if requested is not None and not isinstance(requested, int):
             raise _HttpError(400, "client_task_id must be an integer")
         cid = ses.claim_cid(requested)
-        loop = asyncio.get_running_loop()
-        waiter: asyncio.Future = loop.create_future()
-        ses.acks[cid] = waiter
-        ses.touch()
-        self.gateway.post(ses.identity, protocol.submit(cid, buffer, spec or None))
+        # The reply may come later, from the store's commit callback.
+        future = asyncio.get_running_loop().create_future()
+
+        def settle(frame: Dict[str, Any]) -> None:
+            if not future.done():
+                future.set_result(frame)
+
+        self.gateway.submit(sid, cid, buffer, spec or None,
+                            lambda frame: self._call_soon(settle, frame))
         try:
-            frame = await asyncio.wait_for(waiter, timeout=self.request_timeout)
+            frame = await asyncio.wait_for(future, timeout=self.request_timeout)
         except asyncio.TimeoutError:
-            ses.acks.pop(cid, None)
             raise _HttpError(503, "gateway did not acknowledge the submission")
         mtype = frame.get("type")
-        if mtype == "accepted":
+        if mtype in ("accepted", "result"):
+            # A resend of a finished task is answered with its result frame:
+            # that counts as acceptance (the stream/replay carries the result).
             accepted = TaskAccepted(
-                task_id=make_task_id(ses.session_id, cid),
+                task_id=make_task_id(sid, cid),
                 client_task_id=cid,
-                session=ses.session_id,
-                session_token=ses.info.session_token if created else None,
-                trace_id=frame.get("trace_id"),
+                session=sid,
+                session_token=new_token,
+                trace_id=frame.get("trace_id") if mtype == "accepted" else None,
             )
             await self._respond_json(writer, 202, accepted.to_json())
-        elif mtype == "busy":
-            payload = {
-                "error": "busy",
-                "in_flight": frame.get("in_flight"),
-                "cap": frame.get("cap"),
-                "retry_after_s": RETRY_AFTER_S,
-                "client_task_id": cid,
-                "session": ses.session_id,
-            }
-            if created:
-                payload["session_token"] = ses.info.session_token
-            await self._respond_json(writer, 429, payload,
-                                     extra={"Retry-After": str(max(1, int(RETRY_AFTER_S)))})
-        elif mtype == "error" and frame.get("code") == "shard_unavailable":
-            # No live shard: the task was never admitted, so this is a
-            # clean retry-later for the client (503 + Retry-After), not a
-            # session problem (410) or a request problem (400).
-            payload = {
-                "error": "shard_unavailable",
-                "shard": frame.get("shard"),
-                "retry_after_s": RETRY_AFTER_S,
-                "client_task_id": cid,
-                "session": ses.session_id,
-            }
-            if created:
-                payload["session_token"] = ses.info.session_token
-            await self._respond_json(writer, 503, payload,
+        elif mtype == "busy" or frame.get("code") == "shard_unavailable":
+            # The task was never admitted: a clean retry-later for the
+            # client — 429 at the tenant's cap, 503 with no live shard —
+            # not a session problem (410) or a request problem (400).
+            if mtype == "busy":
+                status = 429
+                payload = {"error": "busy", "in_flight": frame.get("in_flight"),
+                           "cap": frame.get("cap")}
+            else:
+                status = 503
+                payload = {"error": "shard_unavailable", "shard": frame.get("shard")}
+            payload.update(retry_after_s=RETRY_AFTER_S, client_task_id=cid, session=sid)
+            if new_token is not None:
+                payload["session_token"] = new_token
+            await self._respond_json(writer, status, payload,
                                      extra={"Retry-After": str(max(1, int(RETRY_AFTER_S)))})
         else:
             raise _HttpError(400, str(frame.get("reason", "submission rejected")))
@@ -805,17 +717,21 @@ class HttpEdge:
             raise _HttpError(400, f"{name!r} is not callable")
         return obj
 
-    async def _route_status(self, request: _Request, writer: asyncio.StreamWriter,
-                            task_id: str) -> bool:
-        tenant, token = self._authenticate(request)
+    def _task_session(self, request: _Request, task_id: str) -> Tuple[str, int]:
+        """Authenticate a per-task request; returns ``(session id, cid)``."""
+        tenant = self._authenticate(request)
         try:
             session_id, cid = split_task_id(task_id)
         except ValueError as exc:
             raise _HttpError(400, str(exc))
         _sid, stoken = self._session_credentials(request)
-        ses, _ = await self._session_for(request, tenant, token, session_id, stoken,
-                                         auto_create=False)
-        state = self.gateway.task_state(ses.session_id, cid)
+        self._resume_session(tenant, session_id, stoken)
+        return session_id, cid
+
+    async def _route_status(self, request: _Request, writer: asyncio.StreamWriter,
+                            task_id: str) -> bool:
+        session_id, cid = self._task_session(request, task_id)
+        state = self.gateway.task_state(session_id, cid)
         if state is None:
             raise _HttpError(404, f"unknown task {task_id!r}")
         status, frame = state
@@ -828,38 +744,21 @@ class HttpEdge:
             )
         else:
             await self._respond_json(
-                writer, 200, result_frame_to_status(ses.session_id, frame).to_json()
+                writer, 200, result_frame_to_status(session_id, frame).to_json()
             )
         return True
 
     async def _route_cancel(self, request: _Request, writer: asyncio.StreamWriter,
                             task_id: str) -> bool:
-        tenant, token = self._authenticate(request)
-        try:
-            session_id, cid = split_task_id(task_id)
-        except ValueError as exc:
-            raise _HttpError(400, str(exc))
-        _sid, stoken = self._session_credentials(request)
-        ses, _ = await self._session_for(request, tenant, token, session_id, stoken,
-                                         auto_create=False)
-        loop = asyncio.get_running_loop()
-        waiter: asyncio.Future = loop.create_future()
-        ses.cancels[cid] = waiter
-        ses.touch()
-        self.gateway.post(ses.identity, protocol.cancel(cid))
-        try:
-            frame = await asyncio.wait_for(waiter, timeout=self.request_timeout)
-        except asyncio.TimeoutError:
-            ses.cancels.pop(cid, None)
-            raise _HttpError(503, "gateway did not answer the cancel request")
-        status = str(frame.get("status"))
+        session_id, cid = self._task_session(request, task_id)
+        status = self.gateway.cancel(session_id, cid)
         http_status = 404 if status == "unknown" else 200
         await self._respond_json(writer, http_status,
                                  {"task_id": task_id, "status": status})
         return True
 
     async def _route_stats(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
-        tenant, _token = self._authenticate(request)
+        tenant = self._authenticate(request)
         counts = self.gateway.stats().get(tenant, {})
         stats = TenantStats.from_json({"tenant": tenant, **counts})
         await self._respond_json(writer, 200, stats.to_json())
@@ -877,7 +776,7 @@ class HttpEdge:
             raise ConnectionError("SSE client stopped reading; dropping stream")
 
     async def _route_stream(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
-        tenant, token = self._authenticate(request)
+        tenant = self._authenticate(request)
         sid, stoken = self._session_credentials(request)
         if sid is None:
             raise _HttpError(400, "streaming requires a session (X-Repro-Session)")
@@ -887,51 +786,19 @@ class HttpEdge:
             last_seq = int(raw_cursor)
         except ValueError:
             raise _HttpError(400, f"Last-Event-ID must be an integer, got {raw_cursor!r}")
-        ses, _ = await self._session_for(request, tenant, token, sid, stoken,
-                                         auto_create=False, last_seq=last_seq)
-        # Supersede any previous stream, then replay the unseen suffix by
-        # re-running the gateway's resume handshake with the client's cursor.
+        # Bind this stream's sink, supersede any previous stream, and queue
+        # the replay of (last_seq, durable_seq] — all before the loop runs
+        # again, so every live frame (delivered via call_soon_threadsafe)
+        # lands behind the replay and the seq filter below never skips any.
+        sink = self._stream_sink(sid)
+        _info, replay = self._resume_session(tenant, sid, stoken, last_seq, sink=sink)
+        ses = self._sessions[sid]
         if ses.stream is not None:
-            self._stream_put(ses, _STREAM_CLOSE)
-        ses.stream = asyncio.Queue(maxsize=STREAM_QUEUE_LIMIT)
-        queue = ses.stream
-        # The handshake reply arrives *through the queue* (no hello_waiter —
-        # see _dispatch_frame), so welcome-then-replay ordering here is
-        # exactly the gateway sender thread's ordering. A result frame
-        # already queued ahead of the welcome raced in before the gateway
-        # processed the hello; it is therefore covered by the replay train
-        # and must be discarded — written as a live event it would advance
-        # the duplicate filter past the very replay that carries its
-        # predecessors.
-        self.gateway.post(
-            ses.identity,
-            protocol.hello(tenant, token, session=ses.session_id,
-                           session_token=ses.info.session_token, last_seq=last_seq),
-        )
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.request_timeout
-        superseded = False
-        frame: Optional[Dict[str, Any]] = None
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                if ses.stream is queue:
-                    ses.stream = None
-                raise _HttpError(503, "gateway handshake timed out")
-            try:
-                item = await asyncio.wait_for(queue.get(), timeout=remaining)
-            except asyncio.TimeoutError:
-                continue
-            if item is _STREAM_CLOSE:
-                superseded = True  # a newer stream took over mid-handshake
-                break
-            if isinstance(item, dict) and item.get("type") in ("welcome", "auth_error"):
-                frame = item
-                break
-            # else: a pre-welcome racer — drop it, the replay re-delivers it
-        if not superseded and frame["type"] != "welcome":
-            ses.stream = None
-            raise _HttpError(410, str(frame.get("reason", "session lost")))
+            self._stream_put(sid, _STREAM_CLOSE)
+        queue: asyncio.Queue = asyncio.Queue(maxsize=STREAM_QUEUE_LIMIT)
+        ses.stream = queue
+        for frame in replay:
+            self._stream_put(sid, frame)
 
         headers = (
             "HTTP/1.1 200 OK\r\n"
@@ -944,10 +811,6 @@ class HttpEdge:
         try:
             writer.write(headers.encode("latin-1"))
             await self._drain_bounded(writer)
-            if superseded:
-                writer.write(b"event: done\ndata: {\"reason\": \"superseded\"}\n\n")
-                await self._drain_bounded(writer)
-                return False
             while True:
                 try:
                     item = await asyncio.wait_for(queue.get(), timeout=self.sse_keepalive_s)
@@ -963,15 +826,15 @@ class HttpEdge:
                 if seq <= written_seq:
                     continue  # replay overlap: the client already saw this
                 written_seq = seq
-                status = result_frame_to_status(ses.session_id, item)
+                status = result_frame_to_status(sid, item)
                 event = "result" if status.success else "error"
                 data = json.dumps(status.to_json())
                 writer.write(f"id: {seq}\nevent: {event}\ndata: {data}\n\n".encode("utf-8"))
                 await self._drain_bounded(writer)
-                ses.touch()
         except (ConnectionError, asyncio.CancelledError, OSError):
             pass
         finally:
             if ses.stream is queue:
                 ses.stream = None
+            self.gateway.detach_session(sid, sink)
         return False  # the SSE response consumed the connection

@@ -169,11 +169,14 @@ class ShardRouter:
         home = self.home(tenant)
         if len(live) == 1:
             return live[0] if home.alive else live[0]
-        floor = min(s.load() for s in live)
+        # Read each backlog once: a caller without the lock sees counters
+        # move between reads, and a floor taken from one read may then match
+        # no shard on the next.
+        loads = [(s.load(), s) for s in live]
+        floor = min(load for load, _ in loads)
         if home.alive and home.load() <= self.spillover * (floor + 1):
             return home
-        best = [s for s in live if s.load() == floor]
-        return self._rng.choice(best)
+        return self._rng.choice([s for load, s in loads if load == floor])
 
     def live_count(self) -> int:
         """How many shards are currently alive."""

@@ -136,6 +136,53 @@ class TestTCPServerClient:
             assert server.recv(timeout=0.3) is None
             first.close()
 
+    def test_failed_send_keeps_frames_the_peer_already_sent(self, monkeypatch):
+        """Regression: a write failing because the peer closed used to make
+        the reader drop the frames that peer had sent before closing.
+
+        The peer sends three frames and closes. The server's reader is held
+        after the first frame until a reply to that peer has failed; the two
+        frames still buffered on the socket must then be delivered ahead of
+        the ``peer_lost``.
+        """
+        import repro.comms.server as server_module
+
+        real_recv_frame = server_module.recv_frame
+        frames_read = []
+        resume = threading.Event()
+
+        def lagging_recv_frame(sock):
+            if len(frames_read) == 2:  # registration and submit 0 are in
+                resume.wait(timeout=10)
+            frame = real_recv_frame(sock)
+            frames_read.append(frame)
+            return frame
+
+        monkeypatch.setattr(server_module, "recv_frame", lagging_recv_frame)
+        with MessageServer() as server:
+            client = MessageClient(server.host, server.port, identity="t")
+            for n in range(3):
+                client.send({"type": "submit", "n": n})
+            client.close()
+            first = [server.recv(timeout=5) for _ in range(2)]
+            assert [(ident, msg["type"]) for ident, msg in first] == [
+                ("t", "registration"), ("t", "submit")
+            ]
+            # The first reply may still be buffered by the kernel; a later
+            # one fails once the peer's reset arrives.
+            deadline = time.monotonic() + 5
+            while server.send("t", {"type": "ack"}):
+                assert time.monotonic() < deadline, "send to a closed peer kept succeeding"
+                time.sleep(0.01)
+            resume.set()
+            rest = []
+            while ("peer_lost", None) not in rest:
+                received = server.recv(timeout=5)
+                if received is None:
+                    break
+                rest.append((received[1]["type"], received[1].get("n")))
+            assert rest == [("submit", 1), ("submit", 2), ("peer_lost", None)]
+
     def test_reader_threads_pruned_on_churn(self):
         """Churny clients must not leak one Thread object per connection."""
         with MessageServer() as server:

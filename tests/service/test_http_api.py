@@ -156,6 +156,27 @@ class TestBasics:
             reply = sock.recv(65536).decode("latin-1", "replace")
         assert reply.startswith("HTTP/1.1 400 "), reply
 
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/session", {"weight": "heavy"}),
+        ("/v1/session", {"session": "sess-x", "session_token": "t", "last_seq": "latest"}),
+        ("/v1/tasks", {"fn": "double", "args": [1], "priority": "high"}),
+        ("/v1/tasks", {"fn": "double", "args": [1], "resource_spec": "ab"}),
+    ])
+    def test_malformed_field_is_clean_400(self, edge, path, body):
+        """Regression: a non-integer weight/last_seq/priority or a non-object
+        resource_spec used to escape as a 500 that closed the connection."""
+        conn = http.client.HTTPConnection(edge.host, edge.port, timeout=10)
+        try:
+            conn.request("POST", path, json.dumps(body), {"X-Repro-Tenant": "alice"})
+            response = conn.getresponse()
+            assert response.status == 400, response.read()
+            response.read()
+            # The keep-alive connection survives the rejection.
+            conn.request("GET", "/v1/healthz")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+
     def test_session_open_and_release(self, edge):
         session = open_session(edge)
         assert session["session"] and session["session_token"]

@@ -119,6 +119,19 @@ class TestRingRouter:
         picked = {router.route(tenant).index for _ in range(60)}
         assert picked <= {1, 2, 3} and len(picked) >= 2
 
+    def test_backlogs_moving_during_a_route_still_pick_a_shard(self):
+        # route() may run without the gateway lock while pumps drain the
+        # queues: every load() call here reports one less than the last.
+        shards, router = make_router([0, 0, 0], spillover=1.0)
+        tenant = next(
+            f"t-{i}" for i in range(100) if _home_index(router, f"t-{i}") == 0
+        )
+        draining = {0: iter(range(100, 0, -1)), 1: iter(range(10, 0, -1)),
+                    2: iter(range(10, 0, -1))}
+        for shard in shards:
+            shard.load = lambda s=shard: next(draining[s.index])
+        assert router.route(tenant) in (shards[1], shards[2])
+
 
 def _home_index(router, tenant):
     return router.home(tenant).index
