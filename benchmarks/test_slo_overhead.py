@@ -38,6 +38,7 @@ import time
 import repro
 from repro import Config
 from repro.executors import HighThroughputExecutor, ThreadPoolExecutor
+from repro.observability.anomaly import StragglerDetector
 from repro.service import ServiceClient, WorkflowGateway
 
 from conftest import fast_scaled, noop, print_table
@@ -109,11 +110,11 @@ def _two_tenant_throughput(run_dir, instrumented: bool, n_tasks: int) -> float:
         run_dir=str(run_dir),
         strategy="none",
         app_cache=False,
-        service_tenant_slos=TENANT_SLOS,
     )
     dfk = repro.DataFlowKernel(cfg)
     gateway = WorkflowGateway(
-        dfk, window=256, max_inflight_per_tenant=n_tasks + 8
+        dfk, window=256, max_inflight_per_tenant=n_tasks + 8,
+        tenant_slos=TENANT_SLOS,
     ).start()
     if not instrumented:
         # Same gateway, same fabric, the plane's hot path stubbed out: the
@@ -205,10 +206,9 @@ def test_slo_plane_overhead_under_five_percent(benchmark, quiet_logging,
         run_dir=str(tmp_path / "bench"),
         strategy="none",
         app_cache=False,
-        service_tenant_slos=TENANT_SLOS,
     )
     dfk = repro.DataFlowKernel(cfg)
-    gateway = WorkflowGateway(dfk).start()
+    gateway = WorkflowGateway(dfk, tenant_slos=TENANT_SLOS).start()
     client = ServiceClient(gateway.host, gateway.port, tenant="interactive")
     try:
         benchmark.pedantic(
@@ -240,14 +240,14 @@ def test_straggler_detection_quality(benchmark, quiet_logging, tmp_path):
         run_dir=str(tmp_path / "quality"),
         strategy="none",
         app_cache=False,
-        # Slow tasks still meet this objective: any alert is a false alarm.
-        service_tenant_slos={"interactive": {"p99_ms": 5000, "window_s": 60}},
-        service_straggler_min_samples=10,
-        service_straggler_min_age_s=0.3,
-        service_straggler_factor=3.0,
     )
     dfk = repro.DataFlowKernel(cfg)
-    gateway = WorkflowGateway(dfk).start()
+    gateway = WorkflowGateway(
+        dfk,
+        # Slow tasks still meet this objective: any alert is a false alarm.
+        tenant_slos={"interactive": {"p99_ms": 5000, "window_s": 60}},
+        anomaly=StragglerDetector(min_samples=10, min_age_s=0.3, factor=3.0),
+    ).start()
     client = ServiceClient(gateway.host, gateway.port, tenant="interactive")
     clean_flags, slow_flags, false_alerts = set(), set(), []
 

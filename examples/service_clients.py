@@ -44,9 +44,6 @@ def main():
     dfk = repro.load(Config(
         executors=[HighThroughputExecutor(label="htex", workers_per_node=4)],
         run_dir=os.path.join(workdir, "runinfo"),
-        service_tenant_weights={"prod": 10, "dev": 1},   # prod gets 10x the share
-        service_window=8,          # small window => fair share, not FIFO, decides
-        service_max_inflight_per_tenant=200,
     ))
 
     # 2. Auth: mint a token for the 'prod' tenant (dev stays open).
@@ -54,7 +51,13 @@ def main():
     store.login([token_scope("prod")])
     prod_token = store.get_token(token_scope("prod"))
 
-    gateway = WorkflowGateway(dfk, token_store=store).start()
+    gateway = WorkflowGateway(
+        dfk,
+        token_store=store,
+        tenant_weights={"prod": 10, "dev": 1},   # prod gets 10x the share
+        window=8,                   # small window => fair share, not FIFO, decides
+        max_inflight_per_tenant=200,
+    ).start()
     print(f"gateway serving {dfk.run_id} on {gateway.host}:{gateway.port}")
 
     # A forged token is rejected at the handshake.

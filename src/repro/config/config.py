@@ -15,11 +15,6 @@ A Config bundles:
   faults (poison tasks, impossible resource specs, walltime kills) fail
   fast — defaulting to a policy built from the flat ``retry_backoff_s``
   delay when unset,
-* the dispatcher tuning for the batched submission hot path:
-  ``dispatch_batch_size`` (max ready tasks handed to an executor per
-  ``submit_batch`` call, default 64) and ``dispatch_drain_interval`` (the
-  dispatcher thread's idle poll in seconds, default 0.05 — arrival of work
-  wakes it immediately, so this only bounds shutdown responsiveness),
 * memoization and checkpointing settings,
 * ``retain_task_records`` — by default the DFK *retires* a task record when
   the task reaches a final state, dropping its callable/arguments/futures so
@@ -35,43 +30,20 @@ A Config bundles:
   must be continuously idle this long before it may be drained (§4.4),
 * monitoring, plus the live observability plane: ``metrics_enabled`` builds
   the shared :class:`~repro.observability.metrics.MetricsRegistry` (off → a
-  zero-cost null registry), ``metrics_latency_buckets`` overrides the
-  default latency histogram bounds, ``trace_enabled`` /
-  ``trace_sampling`` control whether (and what fraction of) tasks carry an
-  end-to-end trace context whose per-hop spans land in the monitoring
-  store's ``task_spans`` table,
-* the workflow-gateway service knobs (``service_*``): where the gateway
-  binds (``service_host`` / ``service_port``), the per-tenant admission cap
-  (``service_max_inflight_per_tenant`` — beyond it a tenant's submits get
-  backpressure replies), the global dispatch window
-  (``service_window`` — how many gateway tasks may sit in the DFK at once;
-  the weighted fair-share queue orders everything beyond it), tenant
-  weights (``service_tenant_weights`` / ``service_default_weight``),
-  disconnected-session retention (``service_session_ttl_s``), the
-  per-session completed-result replay buffer (``service_replay_limit``),
-  and the HTTP/SSE edge knobs (``service_http_host`` / ``service_http_port``
-  for the bind address, ``service_http_max_body`` for the request-body
-  ceiling, ``service_http_keepalive_s`` for the SSE heartbeat interval),
-  the durable-session store (``service_store_path`` — a SQLite file; when
-  set, sessions, replay buffers, and accepted-but-unfinished tasks survive
-  a gateway restart — and ``service_store_flush_ms``, the group-commit
-  linger bounding how long an fsync batch may accumulate), and the shard
-  router (``service_shard_vnodes`` hash-ring virtual nodes per shard,
-  ``service_shard_spillover`` — how overloaded a tenant's home shard may be,
-  relative to the least-loaded live shard, before work spills over), the
-  live ops plane (``service_tenant_slos`` — per-tenant latency objectives,
-  e.g. ``{"interactive": {"p99_ms": 250, "window_s": 60}}``, evaluated as
-  multi-window burn rates by the gateway's SLO engine;
-  ``service_store_degraded_ms`` — the session-store writer lag beyond which
-  healthz reports ``degraded``; and the straggler detector's
-  ``service_straggler_factor`` / ``service_straggler_min_age_s`` /
-  ``service_straggler_min_samples`` guards),
+  zero-cost null registry) and ``trace_enabled`` controls whether tasks
+  carry an end-to-end trace context whose per-hop spans land in the
+  monitoring store's ``task_spans`` table,
 * the run directory where logs, checkpoints, and monitoring land.
+
+Service settings (bind addresses, admission caps, fair-share weights,
+session TTLs, the durable store, SLOs) belong to the objects that use them:
+:class:`~repro.service.gateway.WorkflowGateway` and
+:class:`~repro.service.http_edge.HttpEdge` take and validate their own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.checkpoint import CHECKPOINT_MODES
 from repro.core.retry import RetryPolicy
@@ -95,41 +67,14 @@ class Config:
         retry_backoff_s: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
         retain_task_records: bool = False,
-        dispatch_batch_size: int = 64,
-        dispatch_drain_interval: float = 0.05,
         router_backpressure: Optional[int] = None,
         strategy: str = "simple",
         strategy_period: float = 0.2,
         max_idletime: float = 2.0,
         run_dir: str = "runinfo",
         monitoring: Optional[MonitoringHub] = None,
-        usage_tracking: bool = False,
-        initialize_logging: bool = False,
-        service_host: str = "127.0.0.1",
-        service_port: int = 0,
-        service_max_inflight_per_tenant: int = 64,
-        service_window: int = 128,
-        service_session_ttl_s: float = 60.0,
-        service_replay_limit: int = 1024,
-        service_default_weight: int = 1,
-        service_tenant_weights: Optional[Dict[str, int]] = None,
-        service_http_host: str = "127.0.0.1",
-        service_http_port: int = 0,
-        service_http_max_body: int = 8 * 1024 * 1024,
-        service_http_keepalive_s: float = 15.0,
-        service_store_path: Optional[str] = None,
-        service_store_flush_ms: float = 2.0,
-        service_shard_vnodes: int = 64,
-        service_shard_spillover: float = 2.0,
-        service_tenant_slos: Optional[Dict[str, Dict[str, float]]] = None,
-        service_store_degraded_ms: float = 1000.0,
-        service_straggler_factor: float = 4.0,
-        service_straggler_min_age_s: float = 0.5,
-        service_straggler_min_samples: int = 20,
         metrics_enabled: bool = True,
-        metrics_latency_buckets: Optional[List[float]] = None,
         trace_enabled: bool = True,
-        trace_sampling: float = 1.0,
     ):
         if executors is None or len(list(executors)) == 0:
             executors = [ThreadPoolExecutor(label="threads", max_threads=4)]
@@ -155,63 +100,8 @@ class Config:
             raise ConfigurationError("max_idletime must be >= 0")
         if checkpoint_period <= 0:
             raise ConfigurationError("checkpoint_period must be positive")
-        if dispatch_batch_size < 1:
-            raise ConfigurationError("dispatch_batch_size must be >= 1")
-        if dispatch_drain_interval <= 0:
-            raise ConfigurationError("dispatch_drain_interval must be positive")
         if router_backpressure is not None and router_backpressure < 1:
             raise ConfigurationError("router_backpressure must be >= 1 when set")
-        if service_max_inflight_per_tenant < 1:
-            raise ConfigurationError("service_max_inflight_per_tenant must be >= 1")
-        if service_window < 1:
-            raise ConfigurationError("service_window must be >= 1")
-        if service_session_ttl_s <= 0:
-            raise ConfigurationError("service_session_ttl_s must be positive")
-        if service_replay_limit < 1:
-            raise ConfigurationError("service_replay_limit must be >= 1")
-        if service_default_weight < 1:
-            raise ConfigurationError("service_default_weight must be >= 1")
-        if service_tenant_weights is not None:
-            for tenant, weight in service_tenant_weights.items():
-                if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-                    raise ConfigurationError(
-                        f"service tenant weight for {tenant!r} must be a positive integer, got {weight!r}"
-                    )
-        if service_http_max_body < 1024:
-            raise ConfigurationError("service_http_max_body must be >= 1024 bytes")
-        if service_http_keepalive_s <= 0:
-            raise ConfigurationError("service_http_keepalive_s must be positive")
-        if service_store_flush_ms < 0:
-            raise ConfigurationError("service_store_flush_ms must be >= 0")
-        if service_shard_vnodes < 1:
-            raise ConfigurationError("service_shard_vnodes must be >= 1")
-        if service_shard_spillover < 1.0:
-            raise ConfigurationError("service_shard_spillover must be >= 1.0")
-        if service_tenant_slos is not None:
-            # The SLO engine's parser is the single source of truth for the
-            # per-tenant spec shape; surface its complaints at config time.
-            from repro.observability.slo import parse_tenant_slos
-            try:
-                parse_tenant_slos(service_tenant_slos)
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise ConfigurationError(f"service_tenant_slos invalid: {exc}")
-        if service_store_degraded_ms <= 0:
-            raise ConfigurationError("service_store_degraded_ms must be positive")
-        if service_straggler_factor <= 0:
-            raise ConfigurationError("service_straggler_factor must be positive")
-        if service_straggler_min_age_s < 0:
-            raise ConfigurationError("service_straggler_min_age_s must be >= 0")
-        if service_straggler_min_samples < 1:
-            raise ConfigurationError("service_straggler_min_samples must be >= 1")
-        if not 0.0 <= trace_sampling <= 1.0:
-            raise ConfigurationError("trace_sampling must be within [0.0, 1.0]")
-        if metrics_latency_buckets is not None:
-            buckets = list(metrics_latency_buckets)
-            if not buckets or buckets != sorted(buckets) or buckets[0] <= 0:
-                raise ConfigurationError(
-                    "metrics_latency_buckets must be a non-empty ascending "
-                    "sequence of positive upper bounds"
-                )
 
         self.executors: List[ReproExecutor] = executors
         self.app_cache = app_cache
@@ -225,43 +115,14 @@ class Config:
         # legacy retry_backoff_s knob", which the DFK does at construction.
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy.from_config(retry_backoff_s)
         self.retain_task_records = bool(retain_task_records)
-        self.dispatch_batch_size = dispatch_batch_size
-        self.dispatch_drain_interval = dispatch_drain_interval
         self.router_backpressure = router_backpressure
         self.strategy = strategy
         self.strategy_period = strategy_period
         self.max_idletime = max_idletime
         self.run_dir = run_dir
         self.monitoring = monitoring
-        self.usage_tracking = usage_tracking
-        self.initialize_logging = initialize_logging
-        self.service_host = service_host
-        self.service_port = service_port
-        self.service_max_inflight_per_tenant = service_max_inflight_per_tenant
-        self.service_window = service_window
-        self.service_session_ttl_s = service_session_ttl_s
-        self.service_replay_limit = service_replay_limit
-        self.service_default_weight = service_default_weight
-        self.service_tenant_weights = dict(service_tenant_weights or {})
-        self.service_http_host = service_http_host
-        self.service_http_port = service_http_port
-        self.service_http_max_body = service_http_max_body
-        self.service_http_keepalive_s = service_http_keepalive_s
-        self.service_store_path = service_store_path
-        self.service_store_flush_ms = service_store_flush_ms
-        self.service_shard_vnodes = service_shard_vnodes
-        self.service_shard_spillover = service_shard_spillover
-        self.service_tenant_slos = dict(service_tenant_slos or {})
-        self.service_store_degraded_ms = float(service_store_degraded_ms)
-        self.service_straggler_factor = float(service_straggler_factor)
-        self.service_straggler_min_age_s = float(service_straggler_min_age_s)
-        self.service_straggler_min_samples = int(service_straggler_min_samples)
         self.metrics_enabled = bool(metrics_enabled)
-        self.metrics_latency_buckets = (
-            list(metrics_latency_buckets) if metrics_latency_buckets is not None else None
-        )
         self.trace_enabled = bool(trace_enabled)
-        self.trace_sampling = float(trace_sampling)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -276,9 +137,11 @@ class Config:
 
     @property
     def executor_labels(self) -> List[str]:
+        """Labels of the configured executors, in configuration order."""
         return [e.label for e in self.executors]
 
     def get_executor(self, label: str) -> ReproExecutor:
+        """Return the executor labelled ``label`` (ConfigurationError if none)."""
         for executor in self.executors:
             if executor.label == label:
                 return executor

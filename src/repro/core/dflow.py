@@ -11,8 +11,7 @@ The DFK constructs and orchestrates the dynamic task dependency graph:
   queue and hands the chosen executor *batches* of ready tasks via
   ``submit_batch``, so executor selection and task serialization happen off
   the app submission path and bursts of ready tasks travel as one batch
-  (tuned by ``Config.dispatch_batch_size`` /
-  ``Config.dispatch_drain_interval``);
+  (at most ``DISPATCH_BATCH_SIZE`` tasks per call);
 * executor choice goes through the scheduling subsystem's
   :class:`~repro.scheduling.router.ExecutorRouter`: label match (the spec's
   affinity, else the decorator's ``executors=`` hint) → load-aware spillover
@@ -74,6 +73,12 @@ from repro.utils.timers import RepeatedTimer
 
 logger = logging.getLogger(__name__)
 
+#: Most ready tasks the dispatcher hands an executor in one ``submit_batch``.
+DISPATCH_BATCH_SIZE = 64
+#: The dispatcher's idle poll (s). Arriving work wakes it at once, so this
+#: only bounds how fast it notices shutdown.
+DISPATCH_DRAIN_INTERVAL_S = 0.05
+
 
 class DataFlowKernel:
     """Manage the parallel execution of a Parsl-style program."""
@@ -103,8 +108,7 @@ class DataFlowKernel:
         # With metrics off the shared null registry makes every record call
         # a no-op, so instrument sites never branch.
         if self.config.metrics_enabled:
-            buckets = self.config.metrics_latency_buckets
-            self.metrics = MetricsRegistry(default_buckets=buckets) if buckets else MetricsRegistry()
+            self.metrics = MetricsRegistry()
         else:
             self.metrics = NULL_REGISTRY
         self._m_submitted = self.metrics.counter(
@@ -260,8 +264,8 @@ class DataFlowKernel:
 
         ``trace`` adopts an existing trace context (the gateway mints one at
         admission so the waterfall covers the fair-share wait); when None and
-        ``Config.trace_enabled``, a fresh context is minted here — subject to
-        ``Config.trace_sampling`` — and stamped ``submitted``.
+        ``Config.trace_enabled``, a fresh context is minted here and stamped
+        ``submitted``.
         """
         if self._cleanup_called:
             raise DataFlowKernelClosedError("cannot submit to a DataFlowKernel after cleanup()")
@@ -282,10 +286,7 @@ class DataFlowKernel:
         if trace is not None:
             # Adopted from the gateway: "submitted" is already stamped there.
             trace["task"] = task_id
-        elif self.config.trace_enabled and (
-            self.config.trace_sampling >= 1.0
-            or self._rng.random() < self.config.trace_sampling
-        ):
+        elif self.config.trace_enabled:
             trace = new_trace(task_id)
             stamp(trace, "submitted")
         self._m_submitted.inc()
@@ -491,20 +492,18 @@ class DataFlowKernel:
         """Drain ready tasks and hand executors batches instead of singles.
 
         Blocks for the first ready task, then greedily collects whatever else
-        is already queued (up to ``Config.dispatch_batch_size``), so bursts of
+        is already queued (up to ``DISPATCH_BATCH_SIZE``), so bursts of
         ready tasks — wide fan-outs, many independent submissions — reach the
         executor as one ``submit_batch`` call while a lone task is dispatched
         immediately.
         """
-        batch_size = self.config.dispatch_batch_size
-        drain_interval = self.config.dispatch_drain_interval
         while not self._dispatch_stop.is_set():
             try:
-                entry = self._dispatch_queue.get(timeout=drain_interval)
+                entry = self._dispatch_queue.get(timeout=DISPATCH_DRAIN_INTERVAL_S)
             except queue.Empty:
                 continue
             entries = [entry]
-            while len(entries) < batch_size:
+            while len(entries) < DISPATCH_BATCH_SIZE:
                 try:
                     entries.append(self._dispatch_queue.get_nowait())
                 except queue.Empty:

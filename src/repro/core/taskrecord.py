@@ -79,8 +79,8 @@ class TaskRecord:
     placed_manager: Optional[str] = None
     #: Trace context (:func:`repro.observability.trace.new_trace` shape):
     #: trace id + per-hop span events, shared by reference with the gateway
-    #: item and the interchange dispatch item. None when tracing is off or
-    #: the task was not sampled. Survives retirement — it is a small dict
+    #: item and the interchange dispatch item. None when tracing is off.
+    #: Survives retirement — it is a small dict
     #: whose spans are already flushed by then, but the gateway still reads
     #: the id for its ``delivered`` stamp.
     trace: Optional[Dict[str, Any]] = None

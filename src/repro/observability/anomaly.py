@@ -109,7 +109,7 @@ class StragglerDetector:
 
         For every stamped hop the observation is ``final_t − hop_t``: how
         long a task entering that hop normally has left. Traceless tasks
-        (sampled out / tracing disabled) contribute nothing.
+        (tracing disabled) contribute nothing.
         """
         if not trace:
             return

@@ -12,7 +12,7 @@ minute drowns in a good day. This module adds the time-local half:
   sub-windows. Expiry is lazy: a slot is reset the first time its ring
   position is reused, so there is no sweeper thread.
 * :class:`SloEngine` — per-tenant latency objectives (declared via
-  ``Config(service_tenant_slos=...)``) evaluated Prometheus-alerting
+  ``WorkflowGateway(tenant_slos=...)``) evaluated Prometheus-alerting
   style over two windows (fast + slow) of error-budget **burn rate**,
   producing typed :class:`SloAlert` events, ``repro_slo_burn`` gauges,
   and a pluggable ``on_alert`` callback for schedulers that want to react
@@ -69,7 +69,7 @@ DEFAULT_WINDOW_S = 60.0
 #: Slow window multiplier when an objective does not set ``slow_window_s``.
 SLOW_WINDOW_FACTOR = 10.0
 
-#: Objective keys understood in ``service_tenant_slos`` entries.
+#: Objective keys understood in ``tenant_slos`` entries.
 OBJECTIVE_QUANTILES = {"p50_ms": 0.50, "p95_ms": 0.95, "p99_ms": 0.99}
 
 #: Buffered samples that force an inline drain on the recording thread.
@@ -258,13 +258,14 @@ class SloAlert:
 
 def parse_tenant_slos(raw: Optional[Dict[str, Dict[str, Any]]]
                       ) -> List[SloObjective]:
-    """Turn ``Config.service_tenant_slos`` into typed objectives.
+    """Turn a gateway's ``tenant_slos`` mapping into typed objectives.
 
     Each tenant entry may declare any of ``p50_ms``/``p95_ms``/``p99_ms``
     (milliseconds) plus optional ``window_s`` (fast window, default 60),
     ``slow_window_s`` (default 10× the fast window), and ``burn_threshold``
-    (default 1.0). Raises ``ValueError`` on malformed entries; Config
-    validation surfaces this as a ``ConfigurationError`` at build time.
+    (default 1.0). Raises ``ValueError`` on malformed entries; the
+    :class:`~repro.service.gateway.WorkflowGateway` constructor surfaces
+    this as a ``ConfigurationError`` before it binds its port.
     """
     objectives: List[SloObjective] = []
     for tenant, spec in (raw or {}).items():

@@ -484,7 +484,7 @@ class ServiceClient:
         """Abruptly sever the transport (test/benchmark hook).
 
         Simulates a network partition or client crash: no goodbye is sent, so
-        the gateway keeps the session alive for ``service_session_ttl_s`` and
+        the gateway keeps the session alive for its ``session_ttl_s`` and
         the receive loop's reconnect logic takes over.
         """
         self._transport.close()

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import logging
 import queue
-import random
 import secrets
 import threading
 import time
@@ -69,6 +68,7 @@ from repro.comms.server import MessageServer
 from repro.core.dflow import DataFlowKernel
 from repro.errors import (
     AuthenticationError,
+    ConfigurationError,
     SessionExpiredError,
     ShardUnavailableError,
     TaskCancelledError,
@@ -82,7 +82,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     render_prometheus,
 )
-from repro.observability.slo import SloAlert, SloEngine
+from repro.observability.slo import SloAlert, SloEngine, parse_tenant_slos
 from repro.observability.trace import flush_spans, new_trace, stamp
 from repro.scheduling.spec import ResourceSpec
 from repro.serialize import deserialize, serialize, unpack_apply_message
@@ -92,6 +92,10 @@ from repro.service.store import SessionStore
 from repro.utils.ids import make_uid
 
 logger = logging.getLogger(__name__)
+
+#: Session-store writer lag (ms) beyond which ``GET /v1/healthz`` reports
+#: ``degraded``.
+STORE_DEGRADED_MS = 1000.0
 
 
 class _TenantState:
@@ -164,76 +168,108 @@ class WorkflowGateway:
 
     ``dfk`` may be a single kernel (the classic single-shard topology —
     behaviour is identical to earlier revisions) or a sequence of kernels,
-    each becoming one shard. Construction defaults come from the first
-    kernel's ``Config.service_*`` knobs; every knob can be overridden
-    per-gateway. ``start()`` binds the port, recovers durable sessions when
-    a store is configured, and registers the completion hooks; use as a
-    context manager or call ``stop()``.
+    each becoming one shard. The gateway owns its service settings: every
+    knob below is a constructor argument, validated here before the port is
+    bound (the kernels' ``Config`` only says how tasks run). ``start()``
+    recovers durable sessions when a store is configured and registers the
+    completion hooks; use as a context manager or call ``stop()``.
 
     Thread-safety: all public methods may be called from any thread.
 
     :param dfk: the kernel (or kernels) to execute on. The first one is
-        exposed as ``self.dfk`` and supplies configuration defaults.
+        exposed as ``self.dfk``; its ``Config`` decides whether the gateway
+        records metrics and mints traces.
+    :param host: address the ``MessageServer`` binds.
+    :param port: TCP port to bind (0 = ephemeral).
+    :param max_inflight_per_tenant: per-tenant admission cap (queued +
+        running); beyond it submits get ``busy`` replies.
+    :param window: gateway tasks allowed inside each shard's DFK at once;
+        ordering beyond it belongs to the fair-share queue.
+    :param session_ttl_s: how long a detached session (and its replay
+        buffer) survives.
+    :param replay_limit: completed results kept per session for replay.
+    :param default_weight: fair-share weight for tenants not pinned.
+    :param tenant_weights: pinned fair-share weights; a pinned tenant's
+        hello-proposed weight is ignored.
     :param store: a :class:`~repro.service.store.SessionStore` to make
-        sessions durable, or ``None`` to build one from ``store_path`` /
-        ``Config.service_store_path`` (in-memory-only when all are unset).
-    :param window: per-shard dispatch window (``Config.service_window``).
-    :raises repro.errors.ConfigurationError: via ``Config`` validation when
-        knob overrides are out of range.
+        sessions durable, or ``None`` to build one from ``store_path``
+        (in-memory-only when both are unset).
+    :param shard_vnodes: virtual nodes per shard on the hash ring.
+    :param shard_spillover: how overloaded a tenant's home shard may be,
+        relative to the least-loaded live shard, before work spills over.
+    :param tenant_slos: per-tenant latency objectives, e.g.
+        ``{"interactive": {"p99_ms": 250, "window_s": 60}}`` (see
+        :func:`~repro.observability.slo.parse_tenant_slos`).
+    :param anomaly: the straggler detector (default
+        ``StragglerDetector()``), which validates its own thresholds.
+    :raises repro.errors.ConfigurationError: when a knob is out of range.
     """
 
     def __init__(
         self,
         dfk: Union[DataFlowKernel, Sequence[DataFlowKernel]],
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
         token_store: Optional[TokenStore] = None,
-        max_inflight_per_tenant: Optional[int] = None,
-        window: Optional[int] = None,
-        session_ttl_s: Optional[float] = None,
-        replay_limit: Optional[int] = None,
-        default_weight: Optional[int] = None,
+        max_inflight_per_tenant: int = 64,
+        window: int = 128,
+        session_ttl_s: float = 60.0,
+        replay_limit: int = 1024,
+        default_weight: int = 1,
         tenant_weights: Optional[Dict[str, int]] = None,
         max_client_weight: int = 16,
         store: Optional[SessionStore] = None,
         store_path: Optional[str] = None,
-        shard_vnodes: Optional[int] = None,
-        shard_spillover: Optional[float] = None,
+        shard_vnodes: int = 64,
+        shard_spillover: float = 2.0,
         tenant_slos: Optional[Dict[str, Dict[str, Any]]] = None,
         on_alert: Optional[Callable[[SloAlert], None]] = None,
+        anomaly: Optional[StragglerDetector] = None,
     ):
         dfks: List[DataFlowKernel] = (
             list(dfk) if isinstance(dfk, (list, tuple)) else [dfk]
         )
         if not dfks:
             raise ValueError("WorkflowGateway needs at least one DataFlowKernel")
+        for name, value in (("max_inflight_per_tenant", max_inflight_per_tenant),
+                            ("window", window), ("replay_limit", replay_limit),
+                            ("default_weight", default_weight),
+                            ("shard_vnodes", shard_vnodes)):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
+        if session_ttl_s <= 0:
+            raise ConfigurationError("session_ttl_s must be positive")
+        if shard_spillover < 1.0:
+            raise ConfigurationError("shard_spillover must be >= 1.0")
+        for tenant, weight in (tenant_weights or {}).items():
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+                raise ConfigurationError(
+                    f"tenant weight for {tenant!r} must be a positive integer, got {weight!r}"
+                )
+        try:
+            parse_tenant_slos(tenant_slos)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigurationError(f"tenant_slos invalid: {exc}")
         cfg = dfks[0].config
-        #: The first shard's kernel (kept for single-shard callers and for
-        #: configuration defaults; prefer ``shards[i].dfk`` in shard-aware
-        #: code).
+        #: The first shard's kernel (kept for single-shard callers; prefer
+        #: ``shards[i].dfk`` in shard-aware code).
         self.dfk = dfks[0]
         self.token_store = token_store
-        self.max_inflight_per_tenant = max_inflight_per_tenant or cfg.service_max_inflight_per_tenant
-        self.window = window or cfg.service_window
-        self.session_ttl_s = session_ttl_s or cfg.service_session_ttl_s
-        self.replay_limit = replay_limit or cfg.service_replay_limit
-        self.default_weight = default_weight or cfg.service_default_weight
+        self.max_inflight_per_tenant = max_inflight_per_tenant
+        self.window = window
+        self.session_ttl_s = session_ttl_s
+        self.replay_limit = replay_limit
+        self.default_weight = default_weight
         #: Weights pinned by configuration; a tenant listed here ignores any
         #: weight its hello proposes (clients cannot promote themselves).
-        self.pinned_weights = dict(cfg.service_tenant_weights)
-        if tenant_weights:
-            self.pinned_weights.update(tenant_weights)
+        self.pinned_weights = dict(tenant_weights or {})
         #: Ceiling on hello-proposed weights for unpinned tenants. Without
         #: one, any authenticated tenant could claim weight 10**9 and
         #: monopolize the fair-share queue — the exact starvation this
         #: subsystem exists to prevent. Operator-pinned weights are exempt.
         self.max_client_weight = max_client_weight
 
-        self.server = MessageServer(
-            host=host if host is not None else cfg.service_host,
-            port=port if port is not None else cfg.service_port,
-            name="gateway",
-        )
+        self.server = MessageServer(host=host, port=port, name="gateway")
 
         self._lock = threading.RLock()
         #: The execution fabric: one shard per kernel, each with its own
@@ -245,22 +281,14 @@ class WorkflowGateway:
             for tenant, weight in self.pinned_weights.items():
                 shard.queue.set_weight(tenant, weight)
             self.shards.append(shard)
-        self._router = ShardRouter(
-            self.shards,
-            vnodes=shard_vnodes if shard_vnodes is not None else cfg.service_shard_vnodes,
-            spillover=(
-                shard_spillover if shard_spillover is not None
-                else cfg.service_shard_spillover
-            ),
-        )
+        self._router = ShardRouter(self.shards, vnodes=shard_vnodes, spillover=shard_spillover)
 
         #: Durable session store (None = in-memory sessions, the classic
         #: behaviour: a restart forgets everything).
-        path = store_path if store_path is not None else cfg.service_store_path
         if store is not None:
             self._store: Optional[SessionStore] = store
-        elif path:
-            self._store = SessionStore(path, flush_ms=cfg.service_store_flush_ms)
+        elif store_path:
+            self._store = SessionStore(store_path)
         else:
             self._store = None
 
@@ -268,10 +296,7 @@ class WorkflowGateway:
         #: kernels' (each DFK owns its own); :meth:`render_metrics` merges
         #: them into one Prometheus document at scrape time.
         if cfg.metrics_enabled:
-            buckets = cfg.metrics_latency_buckets
-            self.metrics: MetricsRegistry = (
-                MetricsRegistry(default_buckets=buckets) if buckets else MetricsRegistry()
-            )
+            self.metrics: MetricsRegistry = MetricsRegistry()
         else:
             self.metrics = NULL_REGISTRY
         self._m_delivered = self.metrics.counter(
@@ -288,28 +313,17 @@ class WorkflowGateway:
         #: service loop (lazily on every alerts surface too). ``on_alert``
         #: is the pluggable rising-edge hook future schedulers can use for
         #: priority boosts on burn.
-        self.slo = SloEngine(
-            tenant_slos=(tenant_slos if tenant_slos is not None
-                         else cfg.service_tenant_slos),
-            registry=self.metrics,
-            on_alert=on_alert,
-        )
+        self.slo = SloEngine(tenant_slos=tenant_slos, registry=self.metrics, on_alert=on_alert)
         #: Streaming straggler detection over live task spans, trained by
         #: every completion's hop timeline.
-        self.anomaly = StragglerDetector(
-            factor=cfg.service_straggler_factor,
-            min_age_s=cfg.service_straggler_min_age_s,
-            min_samples=cfg.service_straggler_min_samples,
-        )
+        self.anomaly = anomaly if anomaly is not None else StragglerDetector()
         #: Session-store writer lag (ms) beyond which healthz degrades.
-        self.store_degraded_ms = cfg.service_store_degraded_ms
+        self.store_degraded_ms = STORE_DEGRADED_MS
         self._last_slo_eval = 0.0
         #: Trace minting at the gateway edge: the gateway is the first hop a
         #: remote task crosses, so the trace context is created (and
         #: "submitted" stamped) here and rides the queued item into the DFK.
         self._trace_enabled = cfg.trace_enabled
-        self._trace_sampling = cfg.trace_sampling
-        self._trace_rng = random.Random()
 
         self._tenants: Dict[str, _TenantState] = {}
         self._sessions: Dict[str, _Session] = {}
@@ -750,7 +764,11 @@ class WorkflowGateway:
             else:
                 send(identity, protocol.cancel_reply(cid, self.cancel(session_id, cid)))
         elif mtype in ("stats", "metrics", "alerts"):
-            req_id = int(message.get("req_id") or 0)
+            try:
+                req_id = int(message.get("req_id") or 0)
+            except (TypeError, ValueError):
+                send(identity, protocol.error(f"{mtype} req_id must be an integer"))
+                return
             if mtype == "stats":
                 reply = protocol.stats_reply(req_id, self.stats(), shards=self.shard_stats())
             elif mtype == "metrics":
@@ -789,7 +807,11 @@ class WorkflowGateway:
             welcome = self.open_session(tenant, message.get("weight"), identity=identity)
             self.server.send(identity, welcome)
             return
-        last_seq = int(message.get("last_seq") or 0)
+        try:
+            last_seq = int(message.get("last_seq") or 0)
+        except (TypeError, ValueError):
+            self.server.send(identity, protocol.auth_error("hello last_seq must be an integer"))
+            return
         send = self._tcp_target(identity)
         with self._lock:
             try:
@@ -825,9 +847,9 @@ class WorkflowGateway:
         }
 
     def _admit_item(self, item: Dict[str, Any]) -> Optional[str]:
-        """Stamp admission clocks on ``item`` and (maybe) mint its trace.
+        """Stamp admission clocks on ``item`` and mint its trace.
 
-        Returns the trace id when tracing sampled this task, else ``None``.
+        Returns the trace id when tracing is on, else ``None``.
         ``_t0`` anchors the tenant's end-to-end latency histogram; ``_enq_t``
         anchors the admission-wait histogram (reset by re-routing, so a task
         adopted by a surviving shard measures its *second* wait).
@@ -835,10 +857,7 @@ class WorkflowGateway:
         now = time.time()
         item["_t0"] = now
         item["_enq_t"] = now
-        if self._trace_enabled and (
-            self._trace_sampling >= 1.0
-            or self._trace_rng.random() < self._trace_sampling
-        ):
+        if self._trace_enabled:
             trace = new_trace()
             stamp(trace, "submitted", now)
             item["trace"] = trace
@@ -1228,7 +1247,7 @@ class WorkflowGateway:
         """Age (ms) of the oldest uncommitted session-store write (0 = none).
 
         The readiness signal for a wedged store writer: healthz reports
-        ``degraded`` once this exceeds ``service_store_degraded_ms``.
+        ``degraded`` once this exceeds ``store_degraded_ms``.
         Always 0.0 without a durable store.
         """
         return self._store.lag_ms() if self._store is not None else 0.0

@@ -81,7 +81,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import AuthenticationError, SessionExpiredError
+from repro.errors import AuthenticationError, ConfigurationError, SessionExpiredError
 from repro.service import protocol
 from repro.service.api_types import (
     SessionInfo,
@@ -184,28 +184,37 @@ class HttpEdge:
     """Serve a :class:`WorkflowGateway` over HTTP/1.1 + Server-Sent-Events.
 
     Runs its own asyncio event loop on a daemon thread; ``start()`` returns
-    once the port is bound. Defaults come from the kernel's
-    ``Config.service_http_*`` knobs; the token store defaults to the
-    gateway's. Use as a context manager or call ``stop()``.
+    once the port is bound. The edge owns its HTTP settings, validated at
+    construction; the token store is the gateway's. Use as a context manager
+    or call ``stop()``.
+
+    :param host: address the edge's asyncio server binds.
+    :param port: TCP port to bind (0 = ephemeral).
+    :param max_body: request-body ceiling in bytes (413 beyond it).
+    :param sse_keepalive_s: interval between SSE keepalive comments.
+    :raises repro.errors.ConfigurationError: when a knob is out of range.
     """
 
     def __init__(
         self,
         gateway: WorkflowGateway,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
         registry: Optional[Dict[str, Callable]] = None,
         allow_dotted_paths: bool = False,
-        max_body: Optional[int] = None,
-        sse_keepalive_s: Optional[float] = None,
+        max_body: int = 8 * 1024 * 1024,
+        sse_keepalive_s: float = 15.0,
         request_timeout: float = 30.0,
     ):
-        cfg = gateway.dfk.config
+        if max_body < 1024:
+            raise ConfigurationError("max_body must be >= 1024 bytes")
+        if sse_keepalive_s <= 0:
+            raise ConfigurationError("sse_keepalive_s must be positive")
         self.gateway = gateway
-        self._host = host if host is not None else cfg.service_http_host
-        self._port = port if port is not None else cfg.service_http_port
-        self.max_body = max_body or cfg.service_http_max_body
-        self.sse_keepalive_s = sse_keepalive_s or cfg.service_http_keepalive_s
+        self._host = host
+        self._port = port
+        self.max_body = max_body
+        self.sse_keepalive_s = sse_keepalive_s
         self.request_timeout = request_timeout
         self.registry: Dict[str, Callable] = dict(registry or {})
         self.allow_dotted_paths = allow_dotted_paths

@@ -21,7 +21,7 @@ Threading model — **one writer thread**, group commit:
 
 Every mutator enqueues an operation and returns immediately. The writer
 thread drains the queue, applies the batch inside one transaction, commits
-(one fsync for the whole batch — the ``service_store_flush_ms`` linger
+(one fsync for the whole batch — the ``flush_ms`` linger
 bounds how long a batch may accumulate), and only then fires the
 operations' ``on_durable`` callbacks, in enqueue order. The gateway hangs
 client-visible acknowledgements (``accepted`` frames, result delivery) off
@@ -44,6 +44,8 @@ import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+
+from repro.errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +106,8 @@ class SessionStore:
     """
 
     def __init__(self, path: str, flush_ms: float = 2.0):
+        if flush_ms < 0:
+            raise ConfigurationError("flush_ms must be >= 0")
         self.path = path
         self.flush_ms = flush_ms
         self._ops: "queue.Queue[Optional[_Op]]" = queue.Queue()

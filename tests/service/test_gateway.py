@@ -382,6 +382,23 @@ class TestProtocolErrors:
         finally:
             transport.close()
 
+    @pytest.mark.parametrize("frame, reply_type", [
+        ({"type": "stats", "req_id": "x"}, "error"),
+        ({"type": "metrics", "req_id": "x"}, "error"),
+        ({"type": "alerts", "req_id": [1]}, "error"),
+        (protocol.hello("alice", session="s", session_token="t", last_seq="abc"),
+         "auth_error"),
+    ])
+    def test_malformed_integer_field_gets_a_reply(self, gateway, frame, reply_type):
+        transport = MessageClient(gateway.host, gateway.port)
+        try:
+            transport.send(frame)
+            reply = transport.recv(timeout=2)
+            assert reply is not None and reply["type"] == reply_type
+            assert "must be an integer" in reply["reason"]
+        finally:
+            transport.close()
+
     def test_bad_resource_spec_reported(self, gateway):
         raw = RawTenant(gateway, "alice")
         try:

@@ -22,6 +22,7 @@ from repro import Config
 from repro.executors import HighThroughputExecutor, ThreadPoolExecutor
 from repro.monitoring.db import SQLiteStore
 from repro.monitoring.hub import MonitoringHub
+from repro.observability.anomaly import StragglerDetector
 from repro.service import HttpEdge, ServiceClient, WorkflowGateway
 
 from test_http_api import open_session, request, session_headers
@@ -78,7 +79,6 @@ def slo_dfk(run_dir):
         executors=[ThreadPoolExecutor(label="threads", max_threads=4)],
         run_dir=run_dir,
         strategy="none",
-        service_tenant_slos=TENANT_SLOS,
     )
     dfk = repro.load(cfg)
     yield dfk
@@ -87,7 +87,8 @@ def slo_dfk(run_dir):
 
 @pytest.fixture
 def gateway(slo_dfk):
-    with WorkflowGateway(slo_dfk, session_ttl_s=10.0) as gw:
+    with WorkflowGateway(slo_dfk, session_ttl_s=10.0,
+                         tenant_slos=TENANT_SLOS) as gw:
         yield gw
 
 
@@ -187,6 +188,7 @@ class TestSloBurnEndToEnd:
     def test_on_alert_hook_fires_on_the_rising_edge(self, slo_dfk):
         fired = []
         with WorkflowGateway(slo_dfk, session_ttl_s=10.0,
+                             tenant_slos=TENANT_SLOS,
                              on_alert=fired.append) as gw:
             server = HttpEdge(gw, registry={"snooze": snooze})
             server.start()
@@ -255,15 +257,13 @@ class TestStragglerPlaneEndToEnd:
             monitoring=hub,
             run_dir=run_dir,
             strategy="none",
-            # Small-model knobs so eight warmup tasks train the detector.
-            service_straggler_min_samples=5,
-            service_straggler_min_age_s=0.2,
-            service_straggler_factor=3.0,
         )
         dfk = repro.load(cfg)
+        # Small-model knobs so eight warmup tasks train the detector.
+        anomaly = StragglerDetector(min_samples=5, min_age_s=0.2, factor=3.0)
         slow_trace = None
         try:
-            with WorkflowGateway(dfk) as gw:
+            with WorkflowGateway(dfk, anomaly=anomaly) as gw:
                 server = HttpEdge(gw, registry={"double": double,
                                                 "snooze": snooze})
                 server.start()

@@ -10,7 +10,8 @@ construction unless the signature warrants its own, and private ``_Name``
 classes are exempt along with everything inside them).
 
 Usage: python tools/check_docstrings.py [paths...]
-Defaults to src/repro/service and src/repro/scheduling/router.py.
+Defaults to src/repro/service, src/repro/config and
+src/repro/scheduling/router.py.
 Exits 1 listing each offender as path:line: symbol.
 """
 
@@ -22,6 +23,7 @@ import sys
 
 DEFAULT_TARGETS = [
     "src/repro/service",
+    "src/repro/config",
     "src/repro/scheduling/router.py",
 ]
 
