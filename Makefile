@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast flake-check bench bench-smoke bench-overhead bench-obsv bench-slo bench-sched bench-service bench-http bench-shard bench-chaos chaos coverage lint docs-lint linkcheck mypy-sched ci quickstart
+.PHONY: test test-fast flake-check perfbench-smoke bench bench-smoke bench-overhead bench-obsv bench-slo bench-sched bench-service bench-http bench-shard bench-chaos chaos coverage lint docs-lint linkcheck mypy-sched ci quickstart
 
 # Tier-1: the exact command the roadmap gates on (tests/ + benchmarks/).
 test:
@@ -27,6 +27,20 @@ flake-check:
 	@for i in $$(seq $(FLAKE_PASSES)); do \
 		echo "flake-check pass $$i/$(FLAKE_PASSES)"; \
 		$(PYTHON) -m pytest -x -q $(FLAKE_TESTS) || exit 1; \
+	done
+
+# The steady benchmark's self-tests, then a short traced run of each
+# workload. A traced run wraps DFK, HTEX and interchange entry points by
+# name, so a rename breaks it here; a run fails on a non-zero exit or when
+# its last line (the JSON result) lacks "correct": true.
+PERFBENCH_WORKLOADS = serial_noop payload_open gateway_tcp gateway_http
+
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 1) || exit 1; \
+		echo "$$out" | tail -n 1 | grep -q '"correct": true' || { echo "$$out" | tail -n 1; exit 1; }; \
 	done
 
 # The paper-figure benchmark harness only.

@@ -25,8 +25,8 @@ Paper provenance of each export:
   configuration; with no arguments it runs everything on a local thread
   pool, so scripts work out of the box.
 * :class:`DataFlowKernel` (and :func:`load` / :func:`dfk` / :func:`clear`)
-  — §4.1's execution manager: the dynamic task graph, the batched
-  submission dispatcher, retries, memoization/checkpointing, and
+  — §4.1's execution manager: the dynamic task graph, launching ready
+  tasks straight to executors, retries, memoization/checkpointing, and
   elasticity. :func:`load` installs a process-wide kernel the decorators
   resolve against, exactly like ``parsl.load``.
 * :class:`AppFuture` / :class:`DataFuture` — §3.3's two future types:

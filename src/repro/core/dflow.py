@@ -6,12 +6,10 @@ The DFK constructs and orchestrates the dynamic task dependency graph:
   Apps become edges, encoded as callbacks on the dependency futures, so the
   DFK is event-driven and the cost of executing a graph with *n* tasks and
   *e* edges is O(n + e);
-* once all of a task's dependencies resolve successfully the task is placed
-  on an internal submission queue; a dedicated dispatcher thread drains that
-  queue and hands the chosen executor *batches* of ready tasks via
-  ``submit_batch``, so executor selection and task serialization happen off
-  the app submission path and bursts of ready tasks travel as one batch
-  (at most ``DISPATCH_BATCH_SIZE`` tasks per call);
+* once all of a task's dependencies resolve successfully the task is handed
+  to its executor's ``submit_batch`` on the thread that made it ready (the
+  app caller, the thread that resolved its last dependency, or a retry
+  timer); the interchange coalesces ready tasks into per-manager batches;
 * executor choice goes through the scheduling subsystem's
   :class:`~repro.scheduling.router.ExecutorRouter`: label match (the spec's
   affinity, else the decorator's ``executors=`` hint) → load-aware spillover
@@ -41,7 +39,6 @@ from __future__ import annotations
 import atexit
 import logging
 import os
-import queue
 import random
 import threading
 import time
@@ -72,12 +69,6 @@ from repro.utils.ids import make_uid
 from repro.utils.timers import RepeatedTimer
 
 logger = logging.getLogger(__name__)
-
-#: Most ready tasks the dispatcher hands an executor in one ``submit_batch``.
-DISPATCH_BATCH_SIZE = 64
-#: The dispatcher's idle poll (s). Arriving work wakes it at once, so this
-#: only bounds how fast it notices shutdown.
-DISPATCH_DRAIN_INTERVAL_S = 0.05
 
 
 class DataFlowKernel:
@@ -119,11 +110,6 @@ class DataFlowKernel:
         )
         self._m_duration = self.metrics.histogram(
             "repro_dfk_task_duration_seconds", "Submit-to-final-state latency per task"
-        )
-        self.metrics.gauge(
-            "repro_dfk_dispatch_queue_depth",
-            "Ready tasks waiting for the batching dispatcher",
-            callback=lambda: self._dispatch_queue.qsize(),
         )
         self.metrics.gauge(
             "repro_dfk_outstanding_tasks",
@@ -170,13 +156,16 @@ class DataFlowKernel:
             self._checkpoint_timer.start()
 
         # Elasticity strategy ----------------------------------------------
+        # "none" never scales, so it gets no timer thread to wake for nothing.
         self.strategy = Strategy(self.config.strategy, max_idletime=self.config.max_idletime)
-        self._strategy_timer = RepeatedTimer(
-            self.config.strategy_period,
-            lambda: self.strategy.strategize(list(self.executors.values())),
-            name="strategy-timer",
-        )
-        self._strategy_timer.start()
+        self._strategy_timer: Optional[RepeatedTimer] = None
+        if self.config.strategy != "none":
+            self._strategy_timer = RepeatedTimer(
+                self.config.strategy_period,
+                lambda: self.strategy.strategize(list(self.executors.values())),
+                name="strategy-timer",
+            )
+            self._strategy_timer.start()
 
         # Task table -------------------------------------------------------
         self.tasks: Dict[int, TaskRecord] = {}
@@ -194,7 +183,7 @@ class DataFlowKernel:
 
         # Pending retry-backoff timers: timer -> (task, args, kwargs). Tracked
         # so cleanup() can cancel them and fail their tasks fast instead of
-        # letting a late timer enqueue into a dead dispatcher.
+        # letting a late timer launch onto a shut-down executor.
         self._retry_timers: Dict[threading.Timer, Tuple[TaskRecord, tuple, dict]] = {}
         self._retry_timers_lock = threading.Lock()
 
@@ -213,17 +202,6 @@ class DataFlowKernel:
         self._completion_cv = threading.Condition()
         self._state_counts: Dict[States, int] = {state: 0 for state in States}
         self._outstanding_count = 0
-
-        # Batched dispatch -------------------------------------------------
-        # Ready tasks are queued here and drained by the dispatcher thread,
-        # which hands executors *batches* via submit_batch — moving executor
-        # selection and serialization off the app submission path.
-        self._dispatch_queue: "queue.Queue[Tuple[TaskRecord, tuple, dict]]" = queue.Queue()
-        self._dispatch_stop = threading.Event()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="dfk-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
 
         atexit.register(self._atexit_cleanup)
         logger.info("DataFlowKernel %s started with executors %s", self.run_id, list(self.executors))
@@ -264,8 +242,10 @@ class DataFlowKernel:
 
         ``trace`` adopts an existing trace context (the gateway mints one at
         admission so the waterfall covers the fair-share wait); when None and
-        ``Config.trace_enabled``, a fresh context is minted here and stamped
-        ``submitted``.
+        ``Config.trace_enabled``, a fresh context is minted when the task is
+        first handed to an executor and stamped ``submitted`` with this
+        call's time. A task that never reaches an executor (a memo hit, a
+        failed dependency, a join app's own record) gets no trace.
         """
         if self._cleanup_called:
             raise DataFlowKernelClosedError("cannot submit to a DataFlowKernel after cleanup()")
@@ -286,9 +266,6 @@ class DataFlowKernel:
         if trace is not None:
             # Adopted from the gateway: "submitted" is already stamped there.
             trace["task"] = task_id
-        elif self.config.trace_enabled:
-            trace = new_trace(task_id)
-            stamp(trace, "submitted")
         self._m_submitted.inc()
 
         executor_label = self._choose_executor(executors, join, spec)
@@ -455,8 +432,7 @@ class DataFlowKernel:
         return args, kwargs
 
     def _launch_task(self, task: TaskRecord, args, kwargs) -> None:
-        # Memoization / checkpoint lookup (synchronous, so repeated
-        # invocations short-circuit without a trip through the dispatcher).
+        # Memoization / checkpoint lookup, before the executor sees the task.
         memo = self.memoizer.check(task)
         if isinstance(memo, _MemoHit):
             task.from_memo = True
@@ -468,88 +444,50 @@ class DataFlowKernel:
             self._launch_join_task(task, args, kwargs)
             return
 
-        self._enqueue_for_dispatch(task, args, kwargs)
+        self._submit_to_executor(task, args, kwargs)
 
-    def _enqueue_for_dispatch(self, task: TaskRecord, args, kwargs) -> None:
-        """Mark the task launched and queue it for the batching dispatcher."""
-        if self._dispatch_stop.is_set():
+    def _submit_to_executor(self, task: TaskRecord, args, kwargs) -> None:
+        """Mark the task launched and hand it to its executor on this thread."""
+        if self._cleanup_called:
             # The kernel is (or has finished) cleaning up — e.g. a retry
-            # backoff timer fired after shutdown. Fail rather than enqueue
-            # onto a queue nobody drains, so the AppFuture always resolves.
+            # backoff timer or a dependency resolved after shutdown. Fail
+            # rather than submit to a stopped executor, so the AppFuture
+            # always resolves.
             self._fail_task(
                 task, CancelledError(f"task {task.id} not dispatched: DataFlowKernel is shut down"), States.failed
             )
             return
         self._set_task_status(task, States.launched)
         self._send_task_state(task, States.launched)
+        if task.trace is None and self.config.trace_enabled:
+            # Minted here, not in submit(): a task that never launches has
+            # no hops to trace, and a memo hit skips the cost entirely.
+            task.trace = new_trace(task.id)
+            stamp(task.trace, "submitted", task.time_invoked)
         stamp(task.trace, "queued")
-        self._dispatch_queue.put((task, args, kwargs))
-
-    # ------------------------------------------------------------------
-    # Batched dispatch (the submission hot path)
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        """Drain ready tasks and hand executors batches instead of singles.
-
-        Blocks for the first ready task, then greedily collects whatever else
-        is already queued (up to ``DISPATCH_BATCH_SIZE``), so bursts of
-        ready tasks — wide fan-outs, many independent submissions — reach the
-        executor as one ``submit_batch`` call while a lone task is dispatched
-        immediately.
-        """
-        while not self._dispatch_stop.is_set():
-            try:
-                entry = self._dispatch_queue.get(timeout=DISPATCH_DRAIN_INTERVAL_S)
-            except queue.Empty:
-                continue
-            entries = [entry]
-            while len(entries) < DISPATCH_BATCH_SIZE:
-                try:
-                    entries.append(self._dispatch_queue.get_nowait())
-                except queue.Empty:
-                    break
-            try:
-                self._dispatch_entries(entries)
-            except Exception:  # noqa: BLE001 - the dispatcher must not die
-                logger.exception("dispatcher failed on a batch of %d tasks", len(entries))
-            finally:
-                # Drop the batch before blocking again: these loop locals
-                # would otherwise pin the last batch's callables and
-                # arguments for as long as the dispatcher sits idle,
-                # defeating task-record retirement.
-                del entry, entries
-
-    def _dispatch_entries(self, entries: List[Tuple[TaskRecord, tuple, dict]]) -> None:
-        """Group a drained batch by executor and submit each group in one call."""
-        groups: Dict[str, List[Tuple[TaskRecord, tuple, dict]]] = {}
-        for task, args, kwargs in entries:
-            executor = self.executors.get(task.executor)
-            if executor is None or (executor.bad_state_is_set and task.fail_count > 0):
-                # Unresolvable label, or a retry whose executor has gone bad:
-                # re-route (the spec's affinity still applies). A first launch
-                # keeps its requested placement even on a bad executor — the
-                # submission failure flows through the normal retry path,
-                # which re-routes then.
-                task.executor = self._choose_executor(
-                    "all", join=False, spec=ResourceSpec.from_wire(task.resource_specification)
-                )
-            groups.setdefault(task.executor, []).append((task, args, kwargs))
-        for label, group in groups.items():
-            executor = self.executors[label]
-            for t, _a, _k in group:
-                stamp(t.trace, "routed")
-            requests = [(t.func, t.resource_specification, a, k, t.trace) for t, a, k in group]
-            try:
-                exec_futures = executor.submit_batch(requests)
-            except Exception as exc:  # noqa: BLE001 - whole-batch submission failure
-                for t, a, k in group:
-                    self._handle_failure(t, exc, a, k)
-                continue
-            for (t, a, k), exec_fu in zip(group, exec_futures):
-                t.exec_fu = exec_fu
-                exec_fu.add_done_callback(
-                    lambda fut, t=t, a=a, k=k: self._handle_exec_update(t, fut, a, k)
-                )
+        executor = self.executors.get(task.executor)
+        if executor is None or (executor.bad_state_is_set and task.fail_count > 0):
+            # Unresolvable label, or a retry whose executor has gone bad:
+            # re-route (the spec's affinity still applies). A first launch
+            # keeps its requested placement even on a bad executor — the
+            # submission failure flows through the normal retry path,
+            # which re-routes then.
+            task.executor = self._choose_executor(
+                "all", join=False, spec=ResourceSpec.from_wire(task.resource_specification)
+            )
+            executor = self.executors[task.executor]
+        stamp(task.trace, "routed")
+        try:
+            # submit_batch carries the trace context and turns a per-task
+            # submission error into a failed future.
+            (exec_fu,) = executor.submit_batch(
+                [(task.func, task.resource_specification, args, kwargs, task.trace)]
+            )
+        except Exception as exc:  # noqa: BLE001 - executor-wide submission failure
+            self._handle_failure(task, exc, args, kwargs)
+            return
+        task.exec_fu = exec_fu
+        exec_fu.add_done_callback(lambda fut: self._handle_exec_update(task, fut, args, kwargs))
 
     # ------------------------------------------------------------------
     def _launch_join_task(self, task: TaskRecord, args, kwargs) -> None:
@@ -651,27 +589,26 @@ class DataFlowKernel:
             flush_spans(task.trace, self.monitoring, self.run_id, task.id)
             next_attempt(task.trace)
             if delay > 0:
-                # Schedule the re-enqueue instead of sleeping: this callback
-                # may run on the dispatcher thread, and a sleep there would
-                # stall dispatch for every task on every executor. The timer
-                # is tracked so cleanup() can cancel it and fail the task
-                # fast — an untracked timer firing after shutdown would
-                # enqueue into a dead dispatcher and strand the AppFuture.
+                # Schedule the relaunch instead of sleeping: this callback
+                # may run on an executor's result thread, and a sleep there
+                # would stall every other result it delivers. The timer is
+                # tracked so cleanup() can cancel it and fail the task fast
+                # instead of leaving the AppFuture waiting out the backoff.
                 timer = threading.Timer(delay, lambda: self._fire_retry_timer(timer))
                 timer.daemon = True
                 with self._retry_timers_lock:
                     self._retry_timers[timer] = (task, args, kwargs)
                 timer.start()
             else:
-                self._launch_task_retry(task, args, kwargs)
+                self._submit_to_executor(task, args, kwargs)
         else:
             self._fail_task(task, exc, States.failed)
 
     def _fire_retry_timer(self, timer: threading.Timer) -> None:
-        """A backoff timer elapsed: claim its entry and re-enqueue the task.
+        """A backoff timer elapsed: claim its entry and relaunch the task.
 
         The pop is the ownership handshake with cleanup(): whichever side
-        removes the entry settles the task (here by re-enqueueing — which
+        removes the entry settles the task (here by relaunching — which
         itself fail-fasts if the kernel has shut down meanwhile — and in
         cleanup() by cancelling and failing), so the AppFuture resolves
         exactly once either way.
@@ -681,12 +618,7 @@ class DataFlowKernel:
         if entry is None:
             return  # cleanup() claimed (cancelled + failed) this retry
         task, args, kwargs = entry
-        self._launch_task_retry(task, args, kwargs)
-
-    def _launch_task_retry(self, task: TaskRecord, args, kwargs) -> None:
-        # Retries rejoin the batched dispatch path; the dispatcher re-chooses
-        # the executor if the original one has since gone bad.
-        self._enqueue_for_dispatch(task, args, kwargs)
+        self._submit_to_executor(task, args, kwargs)
 
     def _complete_task(self, task: TaskRecord, result: Any, state: States) -> None:
         task.time_returned = time.time()
@@ -853,16 +785,18 @@ class DataFlowKernel:
         if self._cleanup_called:
             return
         self._cleanup_called = True
+        # The exit hook is this kernel's last strong reference from outside:
+        # drop it, or every kernel a process creates stays alive until exit.
+        atexit.unregister(self._atexit_cleanup)
         # Stop the elasticity engine FIRST — close() joins the timer thread,
         # so no strategize round (and no scale_out) can race the executor
         # shutdowns below and leak freshly provisioned blocks.
-        self._strategy_timer.close()
-        self._dispatch_stop.set()
-        self._dispatcher.join(timeout=2)
+        if self._strategy_timer is not None:
+            self._strategy_timer.close()
         # Pending retry-backoff timers must not outlive the kernel: cancel
         # each and fail its task fast so the AppFuture resolves now instead
-        # of a late timer enqueueing into the dead dispatcher. The lock-held
-        # pop hands ownership to exactly one side (see _fire_retry_timer).
+        # of after its backoff. The lock-held pop hands ownership to
+        # exactly one side (see _fire_retry_timer).
         with self._retry_timers_lock:
             pending_retries = list(self._retry_timers.items())
             self._retry_timers.clear()
@@ -873,21 +807,6 @@ class DataFlowKernel:
                 CancelledError(f"task {task.id} retry abandoned: DataFlowKernel is shut down"),
                 States.failed,
             )
-        # Hand any still-queued tasks to their executors (which are still up
-        # at this point) so no AppFuture is left dangling: executor shutdown
-        # below either runs or cancels them, exactly as with the old
-        # synchronous launch path.
-        leftovers: List[Tuple[TaskRecord, tuple, dict]] = []
-        while True:
-            try:
-                leftovers.append(self._dispatch_queue.get_nowait())
-            except queue.Empty:
-                break
-        if leftovers:
-            try:
-                self._dispatch_entries(leftovers)
-            except Exception:  # noqa: BLE001
-                logger.exception("failed to flush %d queued tasks during cleanup", len(leftovers))
         if self._checkpoint_timer is not None:
             self._checkpoint_timer.close()
         if self.config.checkpoint_mode in ("dfk_exit", "periodic", "task_exit"):
@@ -900,16 +819,6 @@ class DataFlowKernel:
                 executor.shutdown()
             except Exception:  # noqa: BLE001
                 logger.exception("executor %s failed to shut down", executor.label)
-        # Belt and braces: anything enqueued concurrently with shutdown (a
-        # racing retry timer) is failed here so its AppFuture resolves.
-        while True:
-            try:
-                task, args, kwargs = self._dispatch_queue.get_nowait()
-            except queue.Empty:
-                break
-            self._fail_task(
-                task, CancelledError(f"task {task.id} not dispatched: DataFlowKernel is shut down"), States.failed
-            )
         if self.monitoring is not None:
             self.monitoring.send(
                 MessageType.WORKFLOW_INFO,

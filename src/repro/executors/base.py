@@ -81,7 +81,7 @@ class ReproExecutor(ABC):
         Executors with a batched wire protocol (HTEX) override this to move
         the whole batch in one hop. The default simply loops over
         :meth:`submit`, converting a raised submission error into an exception
-        set on that request's future — so callers (the DFK dispatcher) always
+        set on that request's future — so callers (the DFK launch path) always
         get exactly ``len(requests)`` futures and handle failures uniformly.
         """
         futures: List[cf.Future] = []

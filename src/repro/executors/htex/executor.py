@@ -295,8 +295,8 @@ class HighThroughputExecutor(ReproExecutor):
     def submit_batch(self, requests: Sequence[SubmitRequest]) -> List[cf.Future]:
         """Submit many tasks in one call, handing the interchange one batch.
 
-        Serialization happens here — on the dispatcher's thread, off the app
-        submission path — and per-request failures (resource specs, pickling
+        Serialization happens here, on the DFK thread that made the task
+        ready, and per-request failures (resource specs, pickling
         errors) surface as exceptions *on that request's future* so one bad
         task never poisons the rest of the batch.
         """

@@ -25,8 +25,9 @@ Canonical hop order (one row set per attempt)::
     submitted -> queued -> routed -> dispatched -> executing -> exec_done
               -> result_sent -> result_committed -> delivered
 
-``submitted`` is stamped where the trace is minted (DFK submit, or the
-gateway at admission); ``delivered`` only exists for gateway tasks.
+``submitted`` is stamped where the trace is minted (the gateway at
+admission, or the DFK when it first hands the task to an executor, with the
+task's submit time); ``delivered`` only exists for gateway tasks.
 Flushing emits one ``TASK_SPAN`` monitoring row per event through the
 MonitoringHub's batched path, which also stamps the hub-order ``seq`` used
 to keep same-millisecond events stable in reports.

@@ -17,7 +17,7 @@ healthy executors) with a three-stage decision:
    the least-loaded one is used (the cap bounds skew, not admission).
 
 The router holds no state of its own beyond the executor table reference, so
-it is safe to call from both the submitting thread and the dispatcher.
+it is safe to call from every thread that launches or submits a task.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ class TestMetricsEndpoint:
             "repro_dfk_tasks_submitted_total",           # submit
             "repro_dfk_tasks_completed_total",           # completion
             "repro_dfk_task_duration_seconds",           # execution latency
-            "repro_dfk_dispatch_queue_depth",            # queue depth
+            "repro_dfk_outstanding_tasks",               # backlog depth
         ):
             assert f"# TYPE {family}" in text, f"{family} missing from scrape"
         # Per-tenant histograms label by tenant, le rendered last.
