@@ -14,13 +14,16 @@ test-fast:
 	$(PYTHON) -m pytest -x -q tests
 
 # Determinism gate for the session layer: the gateway session tests, the HTTP
-# API tests, the cross-transport tests and the comms regression for frames a
-# peer sent before a failed write, FLAKE_PASSES times, stopping at the first
-# failure.
+# API tests, the cross-transport tests, the durable-restart tests and the
+# inline-dispatch tests (whose write-ahead ordering depends on timing), and
+# the comms regression for frames a peer sent before a failed write,
+# FLAKE_PASSES times, stopping at the first failure.
 FLAKE_PASSES ?= 20
 FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
 	tests/service/test_http_api.py \
 	tests/service/test_cross_transport.py \
+	tests/service/test_shards.py::TestDurableRestart \
+	tests/service/test_inline_dispatch.py \
 	tests/comms/test_comms.py::TestTCPServerClient::test_failed_send_keeps_frames_the_peer_already_sent
 
 flake-check:

@@ -16,7 +16,7 @@ This module composes the pieces built in earlier layers into exactly that:
 * execution is spread over one or more **DFK shards**
   (:class:`~repro.service.shard.GatewayShard`): each shard wraps one
   DataFlowKernel with its own weighted fair-share queue, bounded dispatch
-  window, pump thread, and completion hook, while a
+  window and completion hook, while a
   :class:`~repro.service.shard.ShardRouter` (consistent hashing on the
   tenant, load-aware spillover) decides placement — so fair-share ordering
   and the window cap apply *per shard* and admission/backpressure/dedup
@@ -44,13 +44,14 @@ to it, an edge stream's non-blocking sink, or nobody (detached: its TTL
 clock runs and results wait in the replay buffer).
 
 Threading model: session state is written by the **service thread** (TCP
-frames, session sweeps, the 1 Hz SLO tick), the HTTP edge's event loop, one
-**pump thread per shard**, the DFKs' completing threads (the hooks) and the
-store's writer thread (commit callbacks). One re-entrant lock, ``_lock``,
-guards all of it — sessions, tenant counters, the identity → session map,
-the task map, every shard's queue and window — and each pump sleeps on a
-Condition tied to it. Nothing does I/O under it: store calls only enqueue,
-and frames go through ``_outbound`` to one **sender thread**.
+frames, session sweeps, the 1 Hz SLO tick), the HTTP edge's event loop, the
+DFKs' completing threads (the hooks) and the store's writer thread (commit
+callbacks). One re-entrant lock, ``_lock``, guards all of it — sessions,
+tenant counters, the identity → session map, the task map, every shard's
+queue and window. No thread waits on a queue: a task enters its shard's
+DFK on the thread that queued it or freed a slot in that shard's window
+(``_dispatch``). Nothing else does I/O under the lock: store calls only
+enqueue, and frames go through ``_outbound`` to one **sender thread**.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class _Session:
         self.replay: Deque[Dict[str, Any]] = deque()
         #: client_task_id -> its replay frame (for duplicate-submit replies).
         self.done_results: Dict[int, Dict[str, Any]] = {}
-        #: client_task_ids cancelled while still queued: the pump skips them
+        #: client_task_ids cancelled while still queued: dispatch skips them
         #: instead of submitting, delivering a TaskCancelledError result.
         self.cancelled: Set[int] = set()
 
@@ -277,7 +278,6 @@ class WorkflowGateway:
         self.shards: List[GatewayShard] = []
         for index, kernel in enumerate(dfks):
             shard = GatewayShard(index, kernel, self.window, self.default_weight)
-            shard.cv = threading.Condition(self._lock)
             for tenant, weight in self.pinned_weights.items():
                 shard.queue.set_weight(tenant, weight)
             self.shards.append(shard)
@@ -337,7 +337,8 @@ class WorkflowGateway:
         #: block on a client that stopped reading — so hooks enqueue here
         #: and a dedicated sender thread does the socket work, keeping one
         #: stalled tenant from blocking every other tenant's completions.
-        self._outbound: "queue.Queue[Tuple[Callable, Dict[str, Any]]]" = queue.Queue()
+        #: ``None`` tells the sender to exit once the frames ahead of it are sent.
+        self._outbound: "queue.Queue[Optional[Tuple[Callable, Dict[str, Any]]]]" = queue.Queue()
         self._stop_event = threading.Event()
         self._threads: list = []
         self._last_sweep = time.time()
@@ -380,12 +381,11 @@ class WorkflowGateway:
                         lambda seconds, _name=f"exec:{label}":
                         self.slo.record_stream(_name, seconds)
                     )
-        names = [("gateway-service", self._service_loop), ("gateway-sender", self._sender_loop)]
-        names += [
-            (f"gateway-pump-{shard.index}", (lambda _shard=shard: self._pump_loop(_shard)))
-            for shard in self.shards
-        ]
-        for name, target in names:
+        with self._lock:
+            for shard in self.shards:
+                self._dispatch(shard)
+        for name, target in (("gateway-service", self._service_loop),
+                             ("gateway-sender", self._sender_loop)):
             t = threading.Thread(target=target, name=name, daemon=True)
             t.start()
             self._threads.append(t)
@@ -413,10 +413,7 @@ class WorkflowGateway:
             return
         self._started = False
         self._stop_event.set()
-        with self._lock:
-            for shard in self.shards:
-                if shard.cv is not None:
-                    shard.cv.notify_all()
+        self._outbound.put(None)  # behind the frames already queued
         self.server.close()  # also wakes the service loop out of recv()
         for t in self._threads:
             t.join(timeout=2)
@@ -646,7 +643,7 @@ class WorkflowGateway:
             return
         # Everything that needs no gateway state is done before taking the
         # lock: routing alone reads every lane of every shard's queue, and
-        # the pumps and completion hooks all wait on this lock.
+        # every other submit and completion hook waits on this lock.
         item = self._make_item(session, cid, func, args, kwargs, spec)
         trace_id = self._admit_item(item)
         spec_blob = serialize(resource_spec) if resource_spec and self._store is not None else None
@@ -681,17 +678,19 @@ class WorkflowGateway:
                 frame = protocol.accepted(cid, trace_id=trace_id)
                 session.seen[cid] = "queued"
                 tenant.queued += 1
-                assert shard.cv is not None
                 shard.queue.put(session.tenant, item)
-                shard.cv.notify()
                 if self._store is not None:
                     # Write-ahead: the ack waits for the commit (execution
                     # may overlap it — results are themselves gated on
-                    # durability).
+                    # durability). Enqueued before dispatch, so a task that
+                    # finishes inside dfk.submit cannot commit its result row
+                    # ahead of this row (a restart would run it again).
                     self._store.append_task(
                         session.session_id, cid, buffer, spec_blob,
                         on_durable=lambda: self._outbound.put((reply, frame)),
                     )
+                self._dispatch(shard)
+                if self._store is not None:
                     return
         reply(frame)
 
@@ -706,7 +705,7 @@ class WorkflowGateway:
             session = self._sessions.get(session_id)
             status = session.seen.get(cid) if session is not None else None
             if status == "queued":
-                # The item stays in the fair-share queue; the pump discards
+                # The item stays in the fair-share queue; dispatch discards
                 # it at pop time and delivers the cancellation result.
                 session.cancelled.add(cid)
                 return "cancelled"
@@ -883,24 +882,25 @@ class WorkflowGateway:
             return status, session.done_results.get(cid)
 
     # ------------------------------------------------------------------
-    # Pumps: per-shard fair-share queue -> that shard's DFK
+    # Dispatch: per-shard fair-share queue -> that shard's DFK
     # ------------------------------------------------------------------
-    def _pump_loop(self, shard: GatewayShard) -> None:
-        cv = shard.cv
-        assert cv is not None
-        while not self._stop_event.is_set():
-            with cv:
-                while not self._stop_event.is_set() and (
-                    not shard.alive
-                    or shard.inflight >= shard.window
-                    or shard.queue.empty()
-                ):
-                    cv.wait(timeout=0.1)
-                if self._stop_event.is_set():
-                    return
+    def _dispatch(self, shard: GatewayShard) -> None:
+        """Move ``shard``'s queued tasks into its DFK while its window has room.
+
+        Caller holds ``_lock``. Does nothing until the shard's completion
+        hook, which frees window slots, is registered. A task finishing in
+        ``dfk.submit`` re-enters here on this thread via ``_on_task_final``;
+        that call returns at once and this loop takes the freed slot.
+        """
+        if shard.dispatching or shard.hook is None:
+            return
+        shard.dispatching = True
+        try:
+            while (not self._stop_event.is_set() and shard.alive
+                   and shard.inflight < shard.window):
                 popped = shard.queue.pop()
                 if popped is None:
-                    continue
+                    return
                 tenant_name, item = popped
                 tenant = self._tenant_state(tenant_name)
                 tenant.queued -= 1
@@ -965,14 +965,14 @@ class WorkflowGateway:
                     task = future.task_record
                     if task is not None:
                         self._on_task_final(shard, task, task.status)
+        finally:
+            shard.dispatching = False
 
     # ------------------------------------------------------------------
     # Completion fan-out (runs on the DFKs' completing threads)
     # ------------------------------------------------------------------
     def _on_task_final(self, shard: GatewayShard, task: TaskRecord, state: States) -> None:
-        cv = shard.cv
-        assert cv is not None
-        with cv:
+        with self._lock:
             item = self._tasks.pop((shard.index, task.id), None)
             if item is None:
                 return  # not a gateway task (or re-routed off this shard)
@@ -981,7 +981,7 @@ class WorkflowGateway:
             tenant.running -= 1
             shard.inflight -= 1
             shard.completed_total += 1
-            cv.notify()
+            self._dispatch(shard)  # the freed slot takes the next queued task
         app_fu = task.app_fu
         exc = app_fu.exception() if app_fu is not None else None
         if exc is None:
@@ -1075,11 +1075,7 @@ class WorkflowGateway:
 
     def _sender_loop(self) -> None:
         """Drain result frames to clients off the DFKs' completing threads."""
-        while not self._stop_event.is_set():
-            try:
-                target, frame = self._outbound.get(timeout=0.1)
-            except queue.Empty:
-                continue
+        for target, frame in iter(self._outbound.get, None):  # None: _shutdown's sentinel
             try:
                 # A send to a vanished peer fails quietly — the frame stays
                 # in the session's replay buffer for the eventual resume.
@@ -1148,10 +1144,9 @@ class WorkflowGateway:
                             ),
                         )
                     continue
-                assert target.cv is not None
                 item["_enq_t"] = time.time()  # admission-wait clock restarts
                 target.queue.put(item["tenant"], item)
-                target.cv.notify()
+                self._dispatch(target)
                 rerouted += 1
         logger.warning(
             "gateway shard %d killed: %d task(s) re-routed to survivors",

@@ -4,9 +4,10 @@ One :class:`~repro.service.gateway.WorkflowGateway` process can front more
 concurrency than one DFK pipeline comfortably absorbs: the kernel's
 dispatch/completion path is a per-kernel serialization point. This module
 splits the execution fabric into **shards** — each shard wraps one DFK plus
-its own fair-share queue, dispatch window, pump thread, and completion
-hook — while the gateway keeps a single protocol/session brain in front of
-all of them.
+its own fair-share queue, dispatch window and completion hook — while the
+gateway keeps a single protocol/session brain in front of all of them. A
+shard runs no thread of its own: a queued task enters its DFK on the thread
+that queued it or on the one that freed a slot in its window.
 
 Placement is the :class:`ShardRouter`'s job, reusing the two policy shapes
 of :class:`~repro.scheduling.router.ExecutorRouter` at the coarser grain:
@@ -32,7 +33,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-import threading
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.scheduling.queues import WeightedFairShareQueue
@@ -50,9 +50,8 @@ class GatewayShard:
     """One DFK behind the gateway: queue + window + accounting.
 
     Owned by the gateway; all mutable fields are guarded by the gateway's
-    lock (the shard's ``cv`` is a Condition on that same lock, so the
-    per-shard pump thread can sleep on *its* shard without waking the
-    others).
+    lock, under which the thread that queues a task or frees a slot moves
+    this shard's queue into its DFK.
     """
 
     def __init__(self, index: int, dfk: "DataFlowKernel", window: int,
@@ -68,8 +67,9 @@ class GatewayShard:
         self.dispatched_total = 0
         self.completed_total = 0
         self.alive = True
-        #: Set by the gateway: Condition on the gateway lock.
-        self.cv: Optional[threading.Condition] = None
+        #: True while a thread drains the queue into the DFK: a task that
+        #: finishes inside ``dfk.submit`` must not start a nested drain.
+        self.dispatching = False
         #: The completion-hook closure registered with this shard's DFK
         #: (kept so kill/stop can detach exactly the right hook).
         self.hook: Any = None
