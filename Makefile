@@ -16,7 +16,9 @@ test-fast:
 # Determinism gate for the session layer: the gateway session tests, the HTTP
 # API tests, the cross-transport tests, the durable-restart tests and the
 # inline-dispatch tests (whose write-ahead ordering depends on timing), and
-# the comms regression for frames a peer sent before a failed write,
+# the comms regression for frames a peer sent before a failed write; plus the
+# HTEX manager's sentinel stop and the worker-crash tests, whose respawn-budget
+# case depends on a synthesized loss going out ahead of that stop.
 # FLAKE_PASSES times, stopping at the first failure.
 FLAKE_PASSES ?= 20
 FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
@@ -24,7 +26,9 @@ FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
 	tests/service/test_cross_transport.py \
 	tests/service/test_shards.py::TestDurableRestart \
 	tests/service/test_inline_dispatch.py \
-	tests/comms/test_comms.py::TestTCPServerClient::test_failed_send_keeps_frames_the_peer_already_sent
+	tests/comms/test_comms.py::TestTCPServerClient::test_failed_send_keeps_frames_the_peer_already_sent \
+	tests/executors/test_manager_frames.py \
+	tests/executors/test_worker_crash.py::TestWorkerCrashContainment
 
 flake-check:
 	@for i in $$(seq $(FLAKE_PASSES)); do \

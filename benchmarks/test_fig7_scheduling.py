@@ -118,7 +118,7 @@ def test_fig7_binpack_multicore_no_oversubscription(benchmark, quiet_logging):
         futures = executor.submit_batch(requests)
         for fut in futures:
             assert fut.result(timeout=120) == "bulk"
-        return executor.interchange.command("scheduling_stats")
+        return executor.interchange.scheduling_stats()
 
     try:
         stats = benchmark.pedantic(run, rounds=1, iterations=1)

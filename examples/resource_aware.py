@@ -74,10 +74,10 @@ def main():
     print("chunks:", len([c.result() for c in chunks]), "done")
     print("archive exit code:", tarball.result())
 
-    stats = repro.dfk().executors["htex"].interchange.command("scheduling_stats")
+    stats = repro.dfk().executors["htex"].interchange.scheduling_stats()
     for identity, m in stats["managers"].items():
         print(
-            f"{identity}: advertises {m['capacity']} cores, "
+            f"{identity}: registered {m['capacity']} cores, "
             f"peak in-flight {m['peak_in_flight_cores']}"
         )
     assert stats["oversubscription_events"] == 0

@@ -87,11 +87,7 @@ class MessageClient:
             return False
 
     def send_many(self, messages: List[Any]) -> bool:
-        """Send several messages with a single socket write (multipart batch).
-
-        Used by managers to coalesce e.g. a results batch and the follow-up
-        capacity advertisement into one TCP segment train.
-        """
+        """Send several messages with a single socket write (multipart batch)."""
         if not messages:
             return True
         if not self.connected:

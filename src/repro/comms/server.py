@@ -5,7 +5,7 @@ connecting peer (an executor client, a manager, or a worker) is assigned or
 announces an *identity*; the server exposes a single inbound queue of
 ``(identity, message)`` pairs and can address outbound messages to a specific
 identity — exactly the ROUTER socket behaviour the paper's interchange relies
-on for matching tasks to managers with advertised capacity.
+on for matching tasks to managers by capacity.
 """
 
 from __future__ import annotations

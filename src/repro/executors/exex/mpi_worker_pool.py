@@ -40,7 +40,6 @@ def exex_pool_main(
     block_id: Optional[str] = None,
     heartbeat_period: float = 1.0,
     heartbeat_threshold: float = 10.0,
-    result_batch_size: int = 16,
 ) -> Dict[str, Any]:
     """Entry function for every rank of an EXEX pool."""
     if comm.rank == 0:
@@ -51,7 +50,6 @@ def exex_pool_main(
             block_id=block_id,
             heartbeat_period=heartbeat_period,
             heartbeat_threshold=heartbeat_threshold,
-            result_batch_size=result_batch_size,
         )
     return _worker_rank(comm)
 
@@ -67,7 +65,6 @@ def _manager_rank(
     block_id: Optional[str],
     heartbeat_period: float,
     heartbeat_threshold: float,
-    result_batch_size: int,
 ) -> Dict[str, Any]:
     worker_ranks = list(range(1, comm.size))
     manager_id = make_manager_id()
@@ -92,11 +89,10 @@ def _manager_rank(
     last_contact = time.time()
     running = True
 
-    def flush_results(force: bool = False) -> None:
+    def flush_results() -> None:
         nonlocal result_batch, results_sent
-        if result_batch and (force or len(result_batch) >= result_batch_size):
+        if result_batch:
             client.send(msg.results_message(result_batch))
-            client.send(msg.ready_message(len(idle_ranks)))
             results_sent += len(result_batch)
             result_batch = []
 
@@ -131,12 +127,11 @@ def _manager_rank(
                 rank_task.pop(source_rank, None)
                 idle_ranks.append(source_rank)
                 result_batch.append({"task_id": result["task_id"], "buffer": result["buffer"]})
-            flush_results(force=bool(result_batch))
+            flush_results()
             # 4. Heartbeats.
             now = time.time()
             if now - last_heartbeat > heartbeat_period:
                 client.send(msg.heartbeat_message())
-                client.send(msg.ready_message(len(idle_ranks)))
                 last_heartbeat = now
             if now - last_contact > heartbeat_threshold:
                 logger.warning("EXEX manager %s: interchange silent for %.1fs; shutting pool down", manager_id, heartbeat_threshold)
@@ -144,7 +139,7 @@ def _manager_rank(
     except MPIAbort:
         pass
     finally:
-        flush_results(force=True)
+        flush_results()
         for dest in worker_ranks:
             try:
                 comm.send({"shutdown": True}, dest, tag=TAG_SHUTDOWN)

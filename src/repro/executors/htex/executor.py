@@ -55,7 +55,7 @@ class HighThroughputExecutor(ReproExecutor):
 
     * ``batch_size=8`` — tasks per interchange→manager message; the dispatch
       loop packs up to this many tasks into one socket write, capped by the
-      target manager's advertised free capacity.
+      target manager's free capacity in the interchange's ledger.
     * ``prefetch_capacity=None`` — defaults to ``workers_per_node``, letting a
       manager buffer one extra task per worker so workers never idle between
       result send and next dispatch (the paper's pipelining knob). Pass ``0``
@@ -428,7 +428,7 @@ class HighThroughputExecutor(ReproExecutor):
             self._cancel_block_job(block_id, reason=reason or "scale-in")
             return
         self.block_registry.mark_draining(block_id, reason=reason or "scale-in")
-        managers_draining = self.interchange.command("drain_block", block_id=block_id)
+        managers_draining = self.interchange.drain_block(block_id)
         if managers_draining == 0:
             self._cancel_block_job(block_id, reason=reason or "scale-in (no managers)")
 
@@ -470,7 +470,7 @@ class HighThroughputExecutor(ReproExecutor):
     def connected_managers(self) -> List[Dict[str, Any]]:
         if self.interchange is None:
             return []
-        return self.interchange.command("connected_managers")
+        return self.interchange.connected_managers()
 
     @property
     def workers_per_block(self) -> int:

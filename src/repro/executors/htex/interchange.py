@@ -17,10 +17,11 @@ scheduling subsystem layered on top):
   (:mod:`repro.scheduling.placement`): ``least_loaded`` (default),
   ``bin_pack``, ``spread``, ``random``, ``round_robin``. Capacity is
   accounted in worker *core-slots*: a task whose resource spec asks for
-  ``cores`` consumes that many slots on the one manager it is placed on, and
-  the interchange's own accounting (not the managers' advertisements) is
-  authoritative, so no manager is ever handed more in-flight cores than it
-  advertises,
+  ``cores`` consumes that many slots on the one manager it is placed on. The
+  interchange's ledger (:class:`ManagerRecord`) is the only record of
+  capacity: managers announce ``worker_count`` and ``prefetch_capacity``
+  once, at registration, and keep no count of their own, so no manager is
+  ever handed more in-flight cores than it registered,
 * coalesce task dispatch: each round snapshots manager capacity once, places
   a whole window of tasks through the policy's index (O(batch · log
   managers)), and ships each manager's share in messages of up to
@@ -35,9 +36,12 @@ scheduling subsystem layered on top):
   task record, and a task that has killed workers ``poison_threshold``
   times fails with a typed :class:`~repro.errors.WorkerPoisonError` instead
   of being redispatched yet again,
-* expose a synchronous *command channel* (outstanding-task info, connected
-  managers, blacklisting, shutdown) with campaign fault counters
-  (``scheduling_stats`` → ``faults``).
+* answer the executor's in-process queries and requests as plain methods:
+  :meth:`Interchange.outstanding`, :meth:`Interchange.connected_managers`,
+  :meth:`Interchange.blacklist`, :meth:`Interchange.drain_block`,
+  :meth:`Interchange.block_report`, :meth:`Interchange.scheduling_stats`
+  (whose ``faults`` are the campaign fault counters) and
+  :meth:`Interchange.stop`.
 """
 
 from __future__ import annotations
@@ -72,9 +76,9 @@ class ManagerRecord:
     #: task_id -> the dispatched task item, kept so a lost manager's
     #: in-flight tasks can be requeued individually.
     outstanding: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    #: Core-slots currently consumed by the outstanding tasks. Maintained by
-    #: the interchange itself at dispatch/result time, which makes it immune
-    #: to advertisement reordering — this is what the no-oversubscription
+    #: Core-slots currently consumed by the outstanding tasks, charged at
+    #: dispatch and released when a result or loss settles. This is the only
+    #: record of a manager's capacity, and what the no-oversubscription
     #: guarantee is asserted from.
     in_flight_cores: int = 0
     peak_in_flight_cores: int = 0
@@ -104,16 +108,6 @@ class ManagerRecord:
         co-schedule on the same workers.
         """
         return max(self.worker_count - self.in_flight_cores, 0)
-
-    @property
-    def free_capacity(self) -> int:
-        """Reporting alias for :attr:`capacity_remaining`.
-
-        The managers' ``ready`` advertisements are *telemetry*; the
-        interchange's own in-flight accounting is authoritative for both
-        dispatch and reporting, so the two can never drift.
-        """
-        return self.capacity_remaining
 
 
 class Interchange:
@@ -170,7 +164,7 @@ class Interchange:
         self._last_heartbeat_sweep = time.time()
         self.tasks_dispatched = 0
         self.results_received = 0
-        #: Times a dispatch pushed a manager past its advertised slots; the
+        #: Times a dispatch pushed a manager past its registered slots; the
         #: placement accounting makes this impossible, so the fig7 bench
         #: asserts it stays zero.
         self.oversubscription_events = 0
@@ -288,63 +282,46 @@ class Interchange:
         """
         self.pending_tasks.put_many(items)
 
-    def command(self, cmd: str, **kwargs) -> Any:
-        """Synchronous command channel (§4.3.1).
+    def outstanding(self) -> int:
+        """Tasks not yet settled: dispatched to a manager or still pending."""
+        with self._managers_lock:
+            dispatched = sum(len(m.outstanding) for m in self._managers.values())
+        return dispatched + self.pending_tasks.qsize()
 
-        Supported commands: ``outstanding``, ``connected_managers``,
-        ``worker_count``, ``blacklist`` (kwargs: identity), ``drain_block``
-        (kwargs: block_id), ``block_report``, ``scheduling_stats``,
-        ``shutdown``.
-        """
-        if cmd == "outstanding":
-            with self._managers_lock:
-                dispatched = sum(len(m.outstanding) for m in self._managers.values())
-            return dispatched + self.pending_tasks.qsize()
-        if cmd == "connected_managers":
-            with self._managers_lock:
-                return [
-                    {
-                        "identity": m.identity,
-                        "block_id": m.block_id,
-                        "hostname": m.hostname,
-                        "worker_count": m.worker_count,
-                        "free_capacity": m.free_capacity,
-                        "outstanding": len(m.outstanding),
-                        "in_flight_cores": m.in_flight_cores,
-                        "blacklisted": m.blacklisted,
-                        "draining": m.draining,
-                    }
-                    for m in self._managers.values()
-                    if m.active
-                ]
-        if cmd == "worker_count":
-            with self._managers_lock:
-                return sum(m.worker_count for m in self._managers.values() if m.active and not m.blacklisted)
-        if cmd == "blacklist":
-            identity = kwargs["identity"]
-            with self._managers_lock:
-                record = self._managers.get(identity)
-                if record is None:
-                    return False
-                record.blacklisted = True
-            return True
-        if cmd == "drain_block":
-            return self._drain_block(kwargs["block_id"])
-        if cmd == "block_report":
-            return self.block_report()
-        if cmd == "scheduling_stats":
-            return self.scheduling_stats()
-        if cmd == "shutdown":
-            self.stop()
-            return True
-        raise ValueError(f"unknown interchange command {cmd!r}")
+    def connected_managers(self) -> List[Dict[str, Any]]:
+        """One row per connected manager, from the interchange's ledger."""
+        with self._managers_lock:
+            return [
+                {
+                    "identity": m.identity,
+                    "block_id": m.block_id,
+                    "hostname": m.hostname,
+                    "worker_count": m.worker_count,
+                    "free_capacity": m.capacity_remaining,
+                    "outstanding": len(m.outstanding),
+                    "in_flight_cores": m.in_flight_cores,
+                    "blacklisted": m.blacklisted,
+                    "draining": m.draining,
+                }
+                for m in self._managers.values()
+                if m.active
+            ]
+
+    def blacklist(self, identity: str) -> bool:
+        """Dispatch nothing more to ``identity``; False if it is not connected."""
+        with self._managers_lock:
+            record = self._managers.get(identity)
+            if record is None:
+                return False
+            record.blacklisted = True
+        return True
 
     def scheduling_stats(self) -> Dict[str, Any]:
         """Placement accounting for the whole campaign (fig7's assertion feed).
 
         Covers every manager ever seen — live records plus the frozen stats
         of managers that have since disconnected — so "no manager ever held
-        more in-flight cores than it advertised" can be asserted post-run.
+        more in-flight cores than it registered" can be asserted post-run.
         """
         with self._managers_lock:
             managers = {
@@ -404,11 +381,11 @@ class Interchange:
                 )
                 entry["managers"] += 1
                 entry["outstanding"] += len(m.outstanding)
-                entry["free_capacity"] += m.free_capacity
+                entry["free_capacity"] += m.capacity_remaining
                 entry["draining"] = entry["draining"] or m.draining
         return report
 
-    def _drain_block(self, block_id: str) -> int:
+    def drain_block(self, block_id: str) -> int:
         """Stop dispatching to ``block_id``'s managers; shut them down once idle.
 
         Returns the number of managers marked draining. ``0`` means no manager
@@ -424,8 +401,8 @@ class Interchange:
             if drained:
                 self._draining_blocks.setdefault(block_id, time.time())
         for identity in drained:
-            # Belt and braces: tell the manager too, so it stops advertising
-            # capacity even if a 'ready' message was already in flight.
+            # The ledger already excludes the manager from dispatch; the
+            # notice only lets it log the scale-in, and it acks.
             self.server.send(identity, msg.drain_message())
         return len(drained)
 
@@ -479,11 +456,6 @@ class Interchange:
         elif mtype == "heartbeat":
             self._touch(identity)
             self.server.send(identity, msg.heartbeat_reply_message())
-        elif mtype == "ready":
-            # The advertisement is liveness telemetry only: dispatch capacity
-            # is derived from the interchange's own in-flight accounting
-            # (immune to message reordering), so there is nothing to record.
-            self._touch(identity)
         elif mtype == "results":
             self._touch(identity)
             items = message.get("items", [])
@@ -760,7 +732,7 @@ class Interchange:
         """Settle draining blocks: shut managers down once their tasks finish.
 
         A draining manager receives no new dispatches (see
-        :meth:`_eligible_managers`); when every in-flight task it holds has
+        :meth:`_dispatch_tasks`); when every in-flight task it holds has
         returned, it is sent a shutdown message and disconnected, and once the
         last manager of a block settles the ``block_drained_callback`` fires so
         the executor can cancel the provider job. A block that fails to settle

@@ -3,11 +3,13 @@
 One manager runs per node of a block (§4.3.1). It is a multi-threaded agent
 that:
 
-* registers with the interchange, advertising its worker count and prefetch
+* registers with the interchange, announcing its worker count and prefetch
   capacity,
 * receives batches of tasks and feeds them to a pool of worker processes (or
   threads, for lightweight deployments),
-* aggregates results and returns them to the interchange in batches,
+* aggregates results and returns them to the interchange in batches: a
+  result-pusher thread blocks on the local result queue and sends whatever
+  has accumulated as one ``results`` frame,
 * exchanges heartbeats with the interchange and **exits immediately** if the
   interchange goes silent, to avoid wasting allocation time — the behaviour
   described in the paper,
@@ -15,10 +17,17 @@ that:
   a shared claims array, and a supervisor thread polls worker liveness. A
   worker that dies mid-task (segfault, OOM kill, ``os._exit`` in user code)
   gets a :class:`~repro.errors.WorkerLost` result synthesized for its
-  claimed task — releasing the in-flight cores it held — and is respawned,
-  up to ``worker_respawn_limit`` respawns per manager. Past the budget the
-  manager exits cleanly so the interchange's ``ManagerLost`` path requeues
-  whatever it still held.
+  claimed task — the interchange releases the cores it held — and is
+  respawned, up to ``worker_respawn_limit`` respawns per manager. Past the
+  budget the manager exits cleanly so the interchange's ``ManagerLost``
+  path requeues whatever it still held.
+
+The manager keeps no count of its own capacity. The interchange's ledger
+alone decides how many tasks a manager holds (workers + prefetch, in
+core-slots); the manager only remembers which task ids are still unsettled,
+so that the first settle of a task wins. Every service loop ends through
+:meth:`Manager._stop`, which sets the stop event and queues a ``None``
+sentinel behind the results already queued, so those still go out.
 
 Tasks travel to process workers over **per-worker duplex pipes**, not a
 shared ``multiprocessing.Queue``: the shared queue's cross-process read
@@ -45,7 +54,7 @@ import queue as queue_module
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.comms.client import MessageClient
 from repro.executors.htex import messages as msg
@@ -73,10 +82,8 @@ class Manager:
         block_id: Optional[str] = None,
         heartbeat_period: float = 1.0,
         heartbeat_threshold: float = 10.0,
-        result_batch_size: int = 16,
         worker_mode: str = "process",
         sandbox_root: Optional[str] = None,
-        manager_id: Optional[str] = None,
         worker_respawn_limit: int = 8,
         supervision_period: float = 0.1,
     ):
@@ -93,10 +100,9 @@ class Manager:
         self.block_id = block_id
         self.heartbeat_period = heartbeat_period
         self.heartbeat_threshold = heartbeat_threshold
-        self.result_batch_size = result_batch_size
         self.worker_mode = worker_mode
         self.sandbox_root = sandbox_root
-        self.manager_id = manager_id or make_manager_id()
+        self.manager_id = make_manager_id()
         self.worker_respawn_limit = worker_respawn_limit
         self.supervision_period = supervision_period
 
@@ -129,42 +135,24 @@ class Manager:
         #: Per-slot (reader thread, stop event); None for thread workers.
         self._readers: List[Any] = [None] * worker_count
         #: Per-slot task_id -> item for tasks routed to that worker and not
-        #: yet settled; guarded by ``_capacity_lock``. On worker death this
+        #: yet settled; guarded by ``_tasks_lock``. On worker death this
         #: is exactly the set to recover: the claimed entry becomes a
         #: synthesized loss, the rest never started and are re-routed.
         self._assigned: List[Dict[int, Dict[str, Any]]] = [
             {} for _ in range(worker_count)
         ]
         self._stop_event = threading.Event()
-        self._draining = threading.Event()
-        self._threads: List[threading.Thread] = []
+        self._threads: Dict[str, threading.Thread] = {}
         self._last_interchange_contact = time.time()
-        #: In-flight load in worker core-slots: a multi-core task (resource
-        #: spec ``cores=N``) holds N slots from receipt until its result is
-        #: flushed, so the capacity this manager advertises never co-schedules
-        #: more cores than it has.
-        self._in_flight = 0
-        self._task_cores: Dict[int, int] = {}
-        self._capacity_lock = threading.Lock()
+        #: Ids of tasks received and not yet settled. The first result or
+        #: synthesized loss for an id removes it; a later one is dropped.
+        self._unsettled: Set[int] = set()
+        self._tasks_lock = threading.Lock()
         self.tasks_received = 0
         self.results_sent = 0
         #: Workers that died unexpectedly / were respawned by the supervisor.
         self.workers_lost = 0
         self.workers_respawned = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def max_queue_depth(self) -> int:
-        return self.worker_count + self.prefetch_capacity
-
-    def _free_capacity(self) -> int:
-        if self._draining.is_set():
-            # A draining manager never advertises capacity: the interchange
-            # already excludes it from dispatch, and this closes the race
-            # where a 'ready' message was in flight when the drain started.
-            return 0
-        with self._capacity_lock:
-            return max(self.max_queue_depth - self._in_flight, 0)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -190,7 +178,7 @@ class Manager:
         ]:
             t = threading.Thread(target=target, name=f"{self.manager_id}-{name}", daemon=True)
             t.start()
-            self._threads.append(t)
+            self._threads[name] = t
 
     def _start_workers(self) -> None:
         for worker_id in range(self.worker_count):
@@ -243,7 +231,7 @@ class Manager:
         supervisor later sweeps a dead worker's slot, whatever is left there
         is exactly the work that never produced a result.
         """
-        with self._capacity_lock:
+        with self._tasks_lock:
             self._assigned[worker_id].pop(item.get("task_id"), None)
         self._result_queue.put(item)
 
@@ -266,12 +254,12 @@ class Manager:
         """Send one task to the least-loaded live worker.
 
         Blocks (politely) while every slot is mid-respawn; if the manager
-        stops before a live worker appears, the item stays charged in
-        ``_task_cores`` and the interchange's ManagerLost path requeues it.
+        stops before a live worker appears, the item stays unsettled and the
+        interchange's ManagerLost path requeues it.
         """
         task_id = item["task_id"]
         while not self._stop_event.is_set():
-            with self._capacity_lock:
+            with self._tasks_lock:
                 live = [
                     wid
                     for wid in range(self.worker_count)
@@ -291,7 +279,7 @@ class Manager:
             except (OSError, ValueError, BrokenPipeError):
                 # The worker died between the liveness check and the send;
                 # un-assign and pick again (the supervisor will respawn it).
-                with self._capacity_lock:
+                with self._tasks_lock:
                     self._assigned[target].pop(task_id, None)
                 time.sleep(0.01)
 
@@ -308,11 +296,8 @@ class Manager:
             if mtype == "tasks":
                 items = message.get("items", [])
                 self.tasks_received += len(items)
-                with self._capacity_lock:
-                    for item in items:
-                        cores = msg.task_cores(item)
-                        self._task_cores[item["task_id"]] = cores
-                        self._in_flight += cores
+                with self._tasks_lock:
+                    self._unsettled.update(item["task_id"] for item in items)
                 for item in items:
                     self._route_item(item)
                 self._last_interchange_contact = time.time()
@@ -320,70 +305,46 @@ class Manager:
                 self._last_interchange_contact = time.time()
             elif mtype == "drain":
                 logger.info("manager %s draining (block scale-in)", self.manager_id)
-                self._draining.set()
                 self._last_interchange_contact = time.time()
                 self._client.send(msg.drain_ack_message())
             elif mtype == "shutdown":
                 logger.info("manager %s received shutdown", self.manager_id)
-                self._stop_event.set()
+                self._stop()
             elif mtype == "connection_lost":
                 if not self._stop_event.is_set():
                     logger.warning("manager %s lost its interchange connection; exiting", self.manager_id)
-                self._stop_event.set()
+                self._stop()
 
     def _result_push_loop(self) -> None:
-        """Return results to the interchange with opportunistic batching.
+        """Return results to the interchange, one ``results`` frame per wake-up.
 
-        Blocks for the first result, then greedily drains whatever else has
-        already completed (up to ``result_batch_size``) and flushes
-        immediately: bursts travel as dense batches while a lone result is
-        never delayed by a flush timer. The results message and the follow-up
-        capacity advertisement share one socket write.
+        Blocks for the next item, then takes everything else already queued
+        and sends it as one frame: bursts travel as dense batches while a
+        lone result is never delayed by a flush timer. A batch needs no size
+        cap, since only the tasks the interchange placed here (at most
+        workers + prefetch) produce items.
 
         Items are either genuine results (``buffer``) or supervisor-synthesized
         losses (``worker_lost``); either way the first settle of a task id wins
         — later items for an already-settled task are dropped, which is what
-        makes the claim-clearing race in the worker benign.
-
-        A broken result queue (EOFError/OSError) is fatal: the manager can no
-        longer deliver results, so it must *stop* — and stop heartbeating — so
-        the interchange declares it lost and requeues its work. Swallowing the
-        error and keeping the heartbeat alive would silently black-hole every
-        in-flight task.
+        makes the claim-clearing race in the worker benign. A ``None`` is the
+        sentinel :meth:`_stop` queues: the loop sends what it took alongside
+        it, then exits.
         """
         assert self._client is not None
-        while not self._stop_event.is_set():
-            queue_broken = False
-            try:
-                item: Optional[Dict[str, Any]] = self._result_queue.get(timeout=0.05)
-            except queue_module.Empty:
-                continue
-            except (EOFError, OSError):
-                logger.error(
-                    "manager %s: result queue broke; exiting so the interchange requeues",
-                    self.manager_id,
-                )
-                self._stop_event.set()
-                break
-            raw: List[Dict[str, Any]] = [item] if item is not None else []
-            while len(raw) < self.result_batch_size:
+        while True:
+            raw: List[Optional[Dict[str, Any]]] = [self._result_queue.get()]
+            while True:
                 try:
-                    extra = self._result_queue.get_nowait()
+                    raw.append(self._result_queue.get_nowait())
                 except queue_module.Empty:
                     break
-                except (EOFError, OSError):
-                    queue_broken = True
-                    break
-                if extra is not None:
-                    raw.append(extra)
             batch: List[Dict[str, Any]] = []
-            with self._capacity_lock:
-                freed = 0
+            with self._tasks_lock:
                 for result in raw:
-                    cores = self._task_cores.pop(result["task_id"], None)
-                    if cores is None:
-                        continue  # already settled (result raced a synthesized loss)
-                    freed += cores
+                    if result is None or result["task_id"] not in self._unsettled:
+                        continue  # the sentinel, or already settled (a result raced a synthesized loss)
+                    self._unsettled.remove(result["task_id"])
                     entry: Dict[str, Any] = {"task_id": result["task_id"]}
                     if "buffer" in result:
                         entry["buffer"] = result["buffer"]
@@ -398,19 +359,11 @@ class Manager:
                     else:
                         entry["worker_lost"] = result["worker_lost"]
                     batch.append(entry)
-                self._in_flight = max(self._in_flight - freed, 0)
             if batch:
                 self.results_sent += len(batch)
-                self._client.send_many(
-                    [msg.results_message(batch), msg.ready_message(self._free_capacity())]
-                )
-            if queue_broken:
-                logger.error(
-                    "manager %s: result queue broke; exiting so the interchange requeues",
-                    self.manager_id,
-                )
-                self._stop_event.set()
-                break
+                self._client.send(msg.results_message(batch))
+            if None in raw:
+                return
 
     # ------------------------------------------------------------------
     # Worker supervision
@@ -426,13 +379,16 @@ class Manager:
         Polls every worker slot each ``supervision_period``. A worker that
         died without a shutdown being requested has its claimed task (read
         from the shared claims array) settled with a synthesized
-        ``worker_lost`` item pushed through the normal result path — so its
-        in-flight cores are released and the interchange learns about the
-        kill — and the slot is respawned, until ``worker_respawn_limit``
-        respawns have been spent. Past the budget the manager stops cleanly:
-        the interchange's ManagerLost machinery requeues everything it still
-        held, which is strictly better than a zombie manager heartbeating
-        over a shrinking (eventually empty) worker pool.
+        ``worker_lost`` item pushed through the normal result path — so the
+        interchange learns about the kill and releases the task's cores — and
+        the slot is respawned, until ``worker_respawn_limit`` respawns have
+        been spent. Past the budget the manager stops cleanly: the loss is
+        already queued ahead of :meth:`_stop`'s sentinel, so it reaches the
+        interchange (else a poison task would reset its kill tally on every
+        manager it chews through), and the interchange's ManagerLost
+        machinery requeues everything else the manager held — strictly
+        better than a zombie manager heartbeating over a shrinking
+        (eventually empty) worker pool.
         """
         hostname = socket.gethostname()
         respawns_left = self.worker_respawn_limit
@@ -476,7 +432,7 @@ class Manager:
                         "the interchange takes over",
                         self.manager_id, self.worker_respawn_limit,
                     )
-                    self._flush_then_stop(int(claimed) if claimed != NO_CLAIM else None)
+                    self._stop()
                     return
 
     def _retire_channel(self, worker_id: int) -> None:
@@ -517,59 +473,43 @@ class Manager:
         started, so they move to another worker silently: no kill is charged
         and the interchange never knows.
         """
-        with self._capacity_lock:
+        with self._tasks_lock:
             orphans = [
                 item
                 for task_id, item in self._assigned[worker_id].items()
-                if task_id != claimed and task_id in self._task_cores
+                if task_id != claimed and task_id in self._unsettled
             ]
             self._assigned[worker_id] = {}
         for item in orphans:
             self._route_item(item)
 
-    def _flush_then_stop(self, task_id: Optional[int]) -> None:
-        """Give a final synthesized loss a moment to reach the wire, then stop.
-
-        The worker-kill count for the task that exhausted the budget must
-        reach the interchange (else a poison task resets its tally on every
-        manager it chews through); the push loop clears ``_task_cores`` as it
-        flushes, so wait for that — bounded, since the manager is dying
-        either way.
-        """
-        if task_id is not None:
-            deadline = time.time() + 2.0
-            while time.time() < deadline:
-                with self._capacity_lock:
-                    if task_id not in self._task_cores:
-                        break
-                time.sleep(0.01)
-        self._stop_event.set()
-
     def _heartbeat_loop(self) -> None:
         assert self._client is not None
         while not self._stop_event.is_set():
-            self._client.send_many(
-                [msg.heartbeat_message(), msg.ready_message(self._free_capacity())]
-            )
+            self._client.send(msg.heartbeat_message())
             if time.time() - self._last_interchange_contact > self.heartbeat_threshold:
                 logger.warning(
                     "manager %s: no interchange contact for %.1fs; exiting to avoid waste",
                     self.manager_id,
                     self.heartbeat_threshold,
                 )
-                self._stop_event.set()
+                self._stop()
                 break
             self._stop_event.wait(self.heartbeat_period)
 
     # ------------------------------------------------------------------
+    def _stop(self) -> None:
+        """End every service loop; results already queued are still sent."""
+        self._stop_event.set()
+        self._result_queue.put(None)
+
     def wait(self) -> None:
         """Block until the manager shuts down (used by the CLI entry point)."""
-        while not self._stop_event.is_set():
-            time.sleep(0.1)
+        self._stop_event.wait()
         self.shutdown()
 
     def shutdown(self) -> None:
-        self._stop_event.set()
+        self._stop()
         for worker_id in range(len(self._workers)):
             try:
                 self._send_to_worker(worker_id, STOP)
@@ -592,6 +532,9 @@ class Manager:
                 self._channels[worker_id].close()
             except (OSError, AttributeError):
                 pass
+        pusher = self._threads.get("result-pusher")
+        if pusher is not None:
+            pusher.join(timeout=2)
         if self._client is not None:
             self._client.close()
 

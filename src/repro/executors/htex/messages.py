@@ -37,11 +37,6 @@ def heartbeat_message() -> Dict[str, Any]:
     return {"type": "heartbeat", "timestamp": time.time()}
 
 
-def ready_message(free_capacity: int) -> Dict[str, Any]:
-    """Capacity advertisement: the manager can accept ``free_capacity`` more tasks."""
-    return {"type": "ready", "free_capacity": free_capacity}
-
-
 def results_message(items: List[Dict[str, Any]]) -> Dict[str, Any]:
     """A batch of completed tasks; each item has ``task_id`` and ``buffer``."""
     return {"type": "results", "items": items}
@@ -128,7 +123,11 @@ def tasks_message(items: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def drain_message() -> Dict[str, Any]:
-    """Scale-in: stop advertising capacity; finish in-flight work, then exit."""
+    """Scale-in notice: no more tasks will come; the manager logs it and acks.
+
+    The interchange has already taken the manager out of dispatch, and shuts
+    it down once its in-flight tasks settle.
+    """
     return {"type": "drain"}
 
 

@@ -5,15 +5,14 @@ This is the command the provider launches on every node of a block::
     python -m repro.executors.htex.process_worker_pool \
         --host 127.0.0.1 --port 54321 --workers 4 --block-id block-0
 
-Providers set ``REPRO_NODE_RANK`` via their launcher; the manager includes it
-in its identity so monitoring can tell nodes of one block apart.
+Each manager's identity is a fresh uuid-based id, and its registration
+carries the node's hostname.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from repro.executors.htex.manager import Manager
@@ -28,7 +27,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--block-id", default=None, help="block id this manager belongs to")
     parser.add_argument("--heartbeat-period", type=float, default=1.0)
     parser.add_argument("--heartbeat-threshold", type=float, default=10.0)
-    parser.add_argument("--result-batch-size", type=int, default=16)
     parser.add_argument(
         "--worker-respawn-limit",
         type=int,
@@ -47,7 +45,6 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.debug else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    node_rank = os.environ.get("REPRO_NODE_RANK", "0")
     manager = Manager(
         interchange_host=args.host,
         interchange_port=args.port,
@@ -56,11 +53,9 @@ def main(argv=None) -> int:
         block_id=args.block_id,
         heartbeat_period=args.heartbeat_period,
         heartbeat_threshold=args.heartbeat_threshold,
-        result_batch_size=args.result_batch_size,
         worker_respawn_limit=args.worker_respawn_limit,
         worker_mode=args.worker_mode,
         sandbox_root=args.sandbox_root,
-        manager_id=None if node_rank == "0" else None,
     )
     manager.run_forever()
     return 0

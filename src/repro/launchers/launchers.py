@@ -45,7 +45,7 @@ class _PerNodeLoopLauncher(Launcher):
 
     Real launchers place one process per node (or per rank) across the
     allocation; the local equivalent is a loop that starts one copy per node
-    with ``REPRO_NODE_RANK`` set, which the worker pool uses to label itself.
+    with ``REPRO_NODE_RANK`` set to the node's index.
     """
 
     launcher_name = "generic"

@@ -297,7 +297,7 @@ class TestHTEXDrain:
         try:
             assert wait_for(lambda: ex.connected_workers >= 2)
             m0, m1 = ex._internal_manager_objs
-            assert ex.interchange.command("drain_block", block_id=m0.block_id) == 1
+            assert ex.interchange.drain_block(m0.block_id) == 1
             futures = [ex.submit(lambda x: x + 1, {}, i) for i in range(10)]
             assert sorted(f.result(timeout=30) for f in futures) == list(range(1, 11))
             # Every task went to the surviving manager.
@@ -321,7 +321,7 @@ class TestHTEXDrain:
             manager = ex._internal_manager_objs[0]
             fut = ex.submit(time.sleep, {}, 0.8)
             assert wait_for(lambda: manager.tasks_received == 1)
-            ex.interchange.command("drain_block", block_id=manager.block_id)
+            ex.interchange.drain_block(manager.block_id)
             time.sleep(0.2)
             # The task is still running: the manager must not be shut down yet.
             assert not manager._stop_event.is_set()
@@ -352,12 +352,12 @@ class TestHTEXDrain:
             # Keep the drain open: one in-flight task on m1.
             ix.submit_task(1, pack_apply_message(time.sleep, (0.8,), {}))
             assert wait_for(lambda: m1.tasks_received == 1)
-            assert ix.command("drain_block", block_id="b1") == 1
+            assert ix.drain_block("b1") == 1
             # A second manager of the SAME block registers mid-drain.
             m2 = Manager(ix.host, ix.port, worker_count=1, block_id="b1", worker_mode="thread")
             m2.start()
             assert wait_for(lambda: ix.connected_manager_count == 2)
-            managers = ix.command("connected_managers")
+            managers = ix.connected_managers()
             assert all(m["draining"] for m in managers)
             # Once the in-flight task settles, the whole block drains.
             assert wait_for(lambda: drained == ["b1"], timeout=15)

@@ -155,7 +155,7 @@ def test_chaos_campaign_completes_every_task_exactly_once(tmp_path, run_dir):
         assert wait_for(
             lambda: executor.interchange.fault_stats()["in_flight_cores"] == 0, timeout=30
         )
-        assert executor.interchange.command("scheduling_stats")["oversubscription_events"] == 0
+        assert executor.interchange.scheduling_stats()["oversubscription_events"] == 0
     finally:
         if monkey is not None:
             monkey.stop()

@@ -98,7 +98,7 @@ class TestHTEXInternal:
         wide.result(timeout=60)
         position = order.index("wide") + 1
         assert position <= len(order) // 4, f"4-core task starved: finished {position}/{len(order)}"
-        stats = htex_internal.interchange.command("scheduling_stats")
+        stats = htex_internal.interchange.scheduling_stats()
         assert stats["oversubscription_events"] == 0
 
 
@@ -166,17 +166,13 @@ class TestHTEXFaultTolerance:
     def test_blacklist_command(self, htex_internal):
         managers = htex_internal.connected_managers
         identity = managers[0]["identity"]
-        assert htex_internal.interchange.command("blacklist", identity=identity) is True
-        listed = htex_internal.interchange.command("connected_managers")
+        assert htex_internal.interchange.blacklist(identity) is True
+        listed = htex_internal.interchange.connected_managers()
         assert listed[0]["blacklisted"] is True
 
     def test_interchange_outstanding_command(self, htex_internal):
-        assert htex_internal.interchange.command("outstanding") == 0
-        assert htex_internal.interchange.command("worker_count") == 4
-
-    def test_unknown_command_rejected(self, htex_internal):
-        with pytest.raises(ValueError):
-            htex_internal.interchange.command("destroy_everything")
+        assert htex_internal.interchange.outstanding() == 0
+        assert htex_internal.interchange.connected_worker_count == 4
 
 
 class TestManagerLossRequeue:

@@ -145,7 +145,7 @@ class TestDrainRequeueOrdering:
             interchange.submit_task(3, b"p", priority=7)
             interchange.submit_task(4, b"p", priority=0)
             # Drain the block; the stuck manager never settles its tasks.
-            assert interchange.command("drain_block", block_id="blk-1") == 1
+            assert interchange.drain_block("blk-1") == 1
             # A manager registering mid-drain (different block) immediately
             # serves the queued tasks...
             fresh = fake_manager(interchange, "fresh", block_id="blk-2", workers=4)
@@ -173,7 +173,7 @@ class TestDrainRequeueOrdering:
             assert wait_for(lambda: interchange.connected_manager_count == 1)
             interchange.submit_task(1, b"p")
             assert collect_task_ids(stuck, 1) == [1]
-            interchange.command("drain_block", block_id="blk-1")
+            interchange.drain_block("blk-1")
             late = fake_manager(interchange, "late", block_id="blk-1", workers=1)
             # The late manager is told to drain and receives no tasks even
             # though work is queued.
