@@ -18,7 +18,10 @@ test-fast:
 # inline-dispatch tests (whose write-ahead ordering depends on timing), and
 # the comms regression for frames a peer sent before a failed write; plus the
 # HTEX manager's sentinel stop and the worker-crash tests, whose respawn-budget
-# case depends on a synthesized loss going out ahead of that stop.
+# case depends on a synthesized loss going out ahead of that stop; and the
+# DFK task-lifetime tests, whose weakref and memory checks depend on the
+# cleanup and pool-drain barriers and on a record being released only after
+# its completion hooks.
 # FLAKE_PASSES times, stopping at the first failure.
 FLAKE_PASSES ?= 20
 FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
@@ -28,7 +31,8 @@ FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
 	tests/service/test_inline_dispatch.py \
 	tests/comms/test_comms.py::TestTCPServerClient::test_failed_send_keeps_frames_the_peer_already_sent \
 	tests/executors/test_manager_frames.py \
-	tests/executors/test_worker_crash.py::TestWorkerCrashContainment
+	tests/executors/test_worker_crash.py::TestWorkerCrashContainment \
+	tests/core/test_task_lifetime.py
 
 flake-check:
 	@for i in $$(seq $(FLAKE_PASSES)); do \

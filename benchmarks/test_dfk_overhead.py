@@ -1,4 +1,4 @@
-"""DFK per-task overhead: submit latency, submit throughput, retired memory.
+"""DFK per-task overhead: submit latency and submit throughput.
 
 The paper's §4.1 claims the DFK executes a graph of *n* tasks and *e* edges
 in O(n + e) with per-task overhead in the low milliseconds. This module
@@ -10,21 +10,18 @@ pins the kernel-side half of that claim:
   against the pre-PR baseline (re-reading the App's source on every hash)
   *in the same run*, asserting the per-callable hash-seed cache buys ≥ 5×;
   when a recorded floor file exists, the cached number must also beat it
-  (the CI regression gate, see ``make bench-overhead``);
-* **retired-task memory** — a 50k-task run with a deliberately fat argument
-  per task must show a flat memory slope: retirement drops each finished
-  task's args/kwargs/func, so resident growth per completed task is O(1)
-  and unrelated to argument size.
+  (the CI regression gate, see ``make bench-overhead``).
+
+The memory a finished task leaves behind is asserted in
+``tests/core/test_task_lifetime.py``.
 """
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
 import os
 import time
-import tracemalloc
 
 from repro.config.config import Config
 from repro.core import memoization
@@ -67,12 +64,11 @@ def hashed_app(x, scale=1, offset=0):
     return final
 
 
-def _make_dfk(run_dir, **overrides) -> DataFlowKernel:
+def _make_dfk(run_dir) -> DataFlowKernel:
     cfg = Config(
         executors=[ThreadPoolExecutor(label="threads", max_threads=2)],
         run_dir=str(run_dir),
         strategy="none",
-        **overrides,
     )
     return DataFlowKernel(cfg)
 
@@ -171,63 +167,3 @@ def test_dfk_submit_latency(benchmark, tmp_path, quiet_logging):
     finally:
         dfk.cleanup()
     assert benchmark.stats.stats.mean < 5e-3, "submit-side latency left the low-ms budget"
-
-
-def test_dfk_retired_task_memory_flat(tmp_path, quiet_logging):
-    """Retired-task memory is O(1): a 50k-task run with a 10 kB argument per
-    task must not accumulate argument bytes — the traced-memory slope per
-    completed task stays far below the argument size and does not grow
-    between the first and second half of the run."""
-    # Deliberately NOT fast_scaled: the acceptance criterion pins a 50k-task
-    # run even in fast mode — the flat-slope claim needs the length.
-    n_tasks = 50_000
-    wave = 10_000
-    payload_bytes = 10_240
-
-    def sink(_blob):
-        return None
-
-    dfk = _make_dfk(tmp_path, app_cache=False)
-    samples = []
-    tracemalloc.start()
-    try:
-        for wave_idx in range(n_tasks // wave):
-            futures = [
-                dfk.submit(sink, app_args=(os.urandom(payload_bytes),), cache=False)
-                for _ in range(wave)
-            ]
-            for f in futures:
-                f.result(timeout=300)
-            assert dfk.wait_for_current_tasks(timeout=300)
-            # Retirement runs microseconds after the future resolves; let the
-            # last callbacks land before sampling.
-            last = dfk.tasks[(wave_idx + 1) * wave - 1]
-            deadline = time.time() + 10
-            while last.retired is None and time.time() < deadline:
-                time.sleep(0.005)
-            del futures, last
-            gc.collect()
-            samples.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-        dfk.cleanup()
-
-    per_task = [(b - a) / wave for a, b in zip(samples, samples[1:])]
-    rows = [
-        [f"{(i + 2) * wave:,}", f"{samples[i + 1] / 1e6:.1f}", f"{per_task[i]:.0f}"]
-        for i in range(len(per_task))
-    ]
-    print_table(
-        "Retired-task memory (tracemalloc, 10 kB argument per task)",
-        ["tasks completed", "traced MB", "bytes/task this wave"],
-        rows,
-    )
-    # O(1) and small: the retained footprint per completed task — the record
-    # shell, its AppFuture, and the frozen summary, ~2.7 kB measured — must
-    # stay a small fraction of the 10 kB argument retirement released ...
-    assert max(per_task) < 4096, f"per-task retained memory {max(per_task):.0f} B; arguments leaked?"
-    # ... and flat: the late-run slope must not exceed the early-run slope
-    # (no superlinear growth with table size).
-    early = sum(per_task[: len(per_task) // 2]) / (len(per_task) // 2)
-    late = sum(per_task[len(per_task) // 2 :]) / (len(per_task) - len(per_task) // 2)
-    assert late <= max(2.0 * early, 512), f"memory slope grew late in the run ({early:.0f} -> {late:.0f} B/task)"

@@ -16,10 +16,6 @@ A Config bundles:
   fast — defaulting to a policy built from the flat ``retry_backoff_s``
   delay when unset,
 * memoization and checkpointing settings,
-* ``retain_task_records`` — by default the DFK *retires* a task record when
-  the task reaches a final state, dropping its callable/arguments/futures so
-  long runs hold O(1) memory per completed task; set True to keep the full
-  records for post-run debugging,
 * the multi-executor router's backpressure cap (``router_backpressure``):
   when set, an executor already holding that many outstanding tasks stops
   receiving new work while any peer is below the cap (load-aware spillover
@@ -34,6 +30,11 @@ A Config bundles:
   carry an end-to-end trace context whose per-hop spans land in the
   monitoring store's ``task_spans`` table,
 * the run directory where logs, checkpoints, and monitoring land.
+
+Finished tasks are not configurable state: the DFK keeps no task table, so
+a finished task is freed once nothing needs it, and a held AppFuture keeps
+only its own record (``future.task_record``), without its callable,
+arguments or dependencies.
 
 Service settings (bind addresses, admission caps, fair-share weights,
 session TTLs, the durable store, SLOs) belong to the objects that use them:
@@ -66,7 +67,6 @@ class Config:
         retries: int = 0,
         retry_backoff_s: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
-        retain_task_records: bool = False,
         router_backpressure: Optional[int] = None,
         strategy: str = "simple",
         strategy_period: float = 0.2,
@@ -114,7 +114,6 @@ class Config:
         # and computes per-attempt backoff; None means "derive from the
         # legacy retry_backoff_s knob", which the DFK does at construction.
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy.from_config(retry_backoff_s)
-        self.retain_task_records = bool(retain_task_records)
         self.router_backpressure = router_backpressure
         self.strategy = strategy
         self.strategy_period = strategy_period

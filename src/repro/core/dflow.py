@@ -28,10 +28,11 @@ The DFK constructs and orchestrates the dynamic task dependency graph:
   blocks to match the outstanding load.
 
 Per-task overhead is O(1) in time and resident memory: completion tracking
-is counter-based (no table scans — see ``_set_task_status``), finished task
-records are *retired* to compact shells (``Config.retain_task_records``
-keeps them whole), and ``task_exit``/``periodic`` checkpoints append only
-the delta since the last write.
+is counter-based (no table scans — see ``_set_task_status``), the kernel
+keeps no task table, so a finished task is freed once nothing needs it (a
+held AppFuture keeps only its own record, released of its callable,
+arguments and dependencies), and ``task_exit``/``periodic`` checkpoints
+append only the delta since the last write.
 """
 
 from __future__ import annotations
@@ -167,11 +168,11 @@ class DataFlowKernel:
             )
             self._strategy_timer.start()
 
-        # Task table -------------------------------------------------------
-        self.tasks: Dict[int, TaskRecord] = {}
+        # Task ids -----------------------------------------------------------
+        # No task table: a record lives as long as a callback, a retry timer
+        # or the caller's AppFuture holds it.
         self._task_counter = 0
         self._task_counter_lock = threading.Lock()
-        self._tasks_lock = threading.Lock()
         self._cleanup_called = False
         self._rng = random.Random()
 
@@ -190,7 +191,7 @@ class DataFlowKernel:
         # Completion fan-out hooks -----------------------------------------
         # Called once per task when it reaches a final state, *after* its
         # AppFuture has resolved. The gateway service uses this to stream
-        # results to remote tenants without polling the task table.
+        # results to remote tenants without polling.
         self._completion_hooks: List[Any] = []
         self._completion_hooks_lock = threading.Lock()
 
@@ -237,8 +238,8 @@ class DataFlowKernel:
         the failure is deterministic, so the retry machinery skips it.
 
         ``tag`` is an opaque submitter label (the gateway service sets the
-        tenant name): it rides on the task record, survives retirement, and
-        lands in every TASK_STATE monitoring row.
+        tenant name): it rides on the task record, stays after the task
+        finishes, and lands in every TASK_STATE monitoring row.
 
         ``trace`` adopts an existing trace context (the gateway mints one at
         admission so the waterfall covers the fair-share wait); when None and
@@ -288,8 +289,6 @@ class DataFlowKernel:
         )
         app_fu = AppFuture(task_record=task)
         task.app_fu = app_fu
-        with self._tasks_lock:
-            self.tasks[task_id] = task
         with self._completion_cv:
             self._state_counts[States.pending] += 1
             self._outstanding_count += 1
@@ -388,11 +387,6 @@ class DataFlowKernel:
             elif old_state in FINAL_STATES and new_state not in FINAL_STATES:
                 self._outstanding_count += 1
 
-    def _retire_task(self, task: TaskRecord) -> None:
-        """Release a finished task's heavy references (unless retention is on)."""
-        if not self.config.retain_task_records:
-            task.retire()
-
     # ==================================================================
     # Launching
     # ==================================================================
@@ -411,7 +405,7 @@ class DataFlowKernel:
                 if dep.exception() is not None
             ]
             if failed_deps:
-                self._fail_task(task, DependencyError(failed_deps, task.id), States.dep_fail)
+                self._finish_task(task, States.dep_fail, exc=DependencyError(failed_deps, task.id))
                 return
             # All dependencies succeeded: substitute results for futures.
             args, kwargs = self._sanitize_inputs(task)
@@ -436,8 +430,7 @@ class DataFlowKernel:
         memo = self.memoizer.check(task)
         if isinstance(memo, _MemoHit):
             task.from_memo = True
-            self._complete_task(task, memo.result, States.memo_done)
-            self._retire_task(task)
+            self._finish_task(task, States.memo_done, memo.result)
             return
 
         if task.join:
@@ -453,8 +446,8 @@ class DataFlowKernel:
             # backoff timer or a dependency resolved after shutdown. Fail
             # rather than submit to a stopped executor, so the AppFuture
             # always resolves.
-            self._fail_task(
-                task, CancelledError(f"task {task.id} not dispatched: DataFlowKernel is shut down"), States.failed
+            self._finish_task(
+                task, States.failed, exc=CancelledError(f"task {task.id} not dispatched: DataFlowKernel is shut down")
             )
             return
         self._set_task_status(task, States.launched)
@@ -497,7 +490,7 @@ class DataFlowKernel:
         try:
             inner = task.func(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001
-            self._fail_task(task, exc, States.failed)
+            self._finish_task(task, States.failed, exc=exc)
             return
         futures: List[Future]
         if isinstance(inner, Future):
@@ -507,8 +500,8 @@ class DataFlowKernel:
             futures = list(inner)
             scalar = False
         else:
-            self._fail_task(
-                task, JoinError(f"join app {task.func_name} must return a future or non-empty list of futures"), States.failed
+            self._finish_task(
+                task, States.failed, exc=JoinError(f"join app {task.func_name} must return a future or non-empty list of futures")
             )
             return
         task.joins = inner
@@ -522,11 +515,10 @@ class DataFlowKernel:
                     return
             errors = [f.exception() for f in futures if f.exception() is not None]
             if errors:
-                self._fail_task(task, errors[0], States.failed)
+                self._finish_task(task, States.failed, exc=errors[0])
             else:
                 result = futures[0].result() if scalar else [f.result() for f in futures]
-                self._complete_task(task, result, States.exec_done)
-                self._retire_task(task)
+                self._finish_task(task, States.exec_done, result)
 
         for fut in futures:
             fut.add_done_callback(_joined)
@@ -542,7 +534,7 @@ class DataFlowKernel:
             # Executor shutdown cancelled the task (Future.exception() would
             # raise here, not return). Cancellation is deliberate — fail the
             # task without retrying so its AppFuture always resolves.
-            self._fail_task(task, CancelledError(f"task {task.id} cancelled at executor shutdown"), States.failed)
+            self._finish_task(task, States.failed, exc=CancelledError(f"task {task.id} cancelled at executor shutdown"))
             return
         exc = exec_fu.exception()
         if exc is not None:
@@ -559,9 +551,8 @@ class DataFlowKernel:
                 # next append/snapshot; a checkpoint hiccup must not stop this
                 # task's completion from being delivered.
                 logger.exception("task_exit checkpoint failed for task %s", task.id)
-        self._complete_task(task, result, States.exec_done)
+        self._finish_task(task, States.exec_done, result)
         self._stage_outputs(task)
-        self._retire_task(task)
 
     def _handle_failure(self, task: TaskRecord, exc: BaseException, args, kwargs) -> None:
         task.fail_count += 1
@@ -573,7 +564,7 @@ class DataFlowKernel:
             # rejects, a task killed for exceeding its own walltime spec —
             # would re-fail identically N times; retrying with backoff only
             # delays the same answer. Fail fast instead.
-            self._fail_task(task, exc, States.failed)
+            self._finish_task(task, States.failed, exc=exc)
             return
         if task.fail_count <= self.config.retries:
             delay = policy.delay_for(exc, task.fail_count)
@@ -602,7 +593,7 @@ class DataFlowKernel:
             else:
                 self._submit_to_executor(task, args, kwargs)
         else:
-            self._fail_task(task, exc, States.failed)
+            self._finish_task(task, States.failed, exc=exc)
 
     def _fire_retry_timer(self, timer: threading.Timer) -> None:
         """A backoff timer elapsed: claim its entry and relaunch the task.
@@ -620,25 +611,26 @@ class DataFlowKernel:
         task, args, kwargs = entry
         self._submit_to_executor(task, args, kwargs)
 
-    def _complete_task(self, task: TaskRecord, result: Any, state: States) -> None:
+    def _finish_task(
+        self, task: TaskRecord, state: States, result: Any = None, exc: Optional[BaseException] = None
+    ) -> None:
+        """Move a task to its final ``state``, resolving its AppFuture with
+        ``exc`` if given, else ``result``; then run the completion hooks and
+        release what the record no longer needs (hooks may still read
+        ``task.args``)."""
         task.time_returned = time.time()
         self._set_task_status(task, state)
         self._send_task_state(task, state)
         self._record_final(task, state)
+        if exc is not None:
+            logger.info("task %s (%s) marked %s: %r", task.id, task.func_name, state.name, exc)
         if task.app_fu is not None and not task.app_fu.done():
-            task.app_fu.set_result(result)
+            if exc is not None:
+                task.app_fu.set_exception(exc)
+            else:
+                task.app_fu.set_result(result)
         self._run_completion_hooks(task, state)
-
-    def _fail_task(self, task: TaskRecord, exc: BaseException, state: States) -> None:
-        task.time_returned = time.time()
-        self._set_task_status(task, state)
-        self._send_task_state(task, state)
-        self._record_final(task, state)
-        logger.info("task %s (%s) marked %s: %r", task.id, task.func_name, state.name, exc)
-        if task.app_fu is not None and not task.app_fu.done():
-            task.app_fu.set_exception(exc)
-        self._run_completion_hooks(task, state)
-        self._retire_task(task)
+        task.release()
 
     def _record_final(self, task: TaskRecord, state: States) -> None:
         """Observability at a task's final transition: spans + metrics.
@@ -669,8 +661,9 @@ class DataFlowKernel:
 
         Hooks fire after the task's AppFuture has resolved (so
         ``task.app_fu.result()`` / ``.exception()`` never block) and before
-        the record is retired. They run on the completing thread — keep them
-        short or hand off to a queue. A raising hook is logged, never fatal.
+        the record releases its callable and arguments, so ``task.args`` is
+        still readable. They run on the completing thread — keep them short
+        or hand off to a queue. A raising hook is logged, never fatal.
         """
         with self._completion_hooks_lock:
             self._completion_hooks.append(hook)
@@ -802,10 +795,10 @@ class DataFlowKernel:
             self._retry_timers.clear()
         for timer, (task, _args, _kwargs) in pending_retries:
             timer.cancel()
-            self._fail_task(
+            self._finish_task(
                 task,
-                CancelledError(f"task {task.id} retry abandoned: DataFlowKernel is shut down"),
                 States.failed,
+                exc=CancelledError(f"task {task.id} retry abandoned: DataFlowKernel is shut down"),
             )
         if self._checkpoint_timer is not None:
             self._checkpoint_timer.close()
@@ -822,7 +815,7 @@ class DataFlowKernel:
         if self.monitoring is not None:
             self.monitoring.send(
                 MessageType.WORKFLOW_INFO,
-                {"run_id": self.run_id, "completed_at": time.time(), "tasks": len(self.tasks)},
+                {"run_id": self.run_id, "completed_at": time.time(), "tasks": self._task_counter},
             )
             self.monitoring.close()
         logger.info("DataFlowKernel %s cleaned up", self.run_id)

@@ -6,15 +6,13 @@ its own AppFuture (through which out-edges are expressed as callbacks), and
 all execution metadata (state, chosen executor, retries, memoization hash,
 timings).
 
-Once a task reaches a final state none of the heavy references — the
-callable, its arguments, the executor future, the dependency futures — are
-needed again, but a naive task table would pin them (and everything they
-transitively reference) for the lifetime of the run. :meth:`TaskRecord.retire`
-therefore drops them in place, leaving the record as a compact shell whose
-immutable essentials are frozen into a :class:`RetiredTaskSummary`, so a
-million-task run holds O(1) memory per completed task. Retirement is the
-DFK's default; set ``Config(retain_task_records=True)`` to keep full records
-for post-run debugging.
+The DFK keeps no table of records. A record lives as long as something
+needs it: a dependency's callback, its executor future's callback, a retry
+timer, or the caller's AppFuture (``future.task_record``). When the task
+reaches a final state the DFK calls :meth:`TaskRecord.release`, which drops
+the callable, the arguments, the executor future and the dependency
+futures, so a held AppFuture keeps only its own record (its scalars, trace
+and result) and not the arguments or the upstream records.
 """
 
 from __future__ import annotations
@@ -22,26 +20,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.states import States
-
-
-@dataclass(frozen=True)
-class RetiredTaskSummary:
-    """The immutable compact view a retired task leaves behind."""
-
-    task_id: int
-    func_name: str
-    executor: str
-    fail_count: int
-    memoize: bool
-    from_memo: bool
-    hashsum: Optional[str]
-    depends_ids: Tuple[Optional[int], ...]
-    time_invoked: float
-    time_returned: Optional[float]
 
 
 @dataclass
@@ -49,7 +30,7 @@ class TaskRecord:
     """State for one task in the dynamic task graph."""
 
     id: int
-    func: Callable
+    func: Optional[Callable]
     func_name: str
     args: Sequence[Any] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -69,10 +50,10 @@ class TaskRecord:
     joins: Any = None
     resource_specification: Dict[str, Any] = field(default_factory=dict)
     #: Dispatch priority from the task's resource spec (higher runs sooner);
-    #: kept as a scalar so monitoring rows carry it even after retirement.
+    #: kept as a scalar so monitoring rows carry it after the spec is released.
     priority: int = 0
     #: Opaque submitter tag (the gateway sets the tenant name here); carried
-    #: into TASK_STATE monitoring rows and surviving retirement, so a
+    #: into TASK_STATE monitoring rows and kept by :meth:`release`, so a
     #: multi-tenant run's per-tenant timeline is reconstructable post-run.
     tag: Optional[str] = None
     #: Identity of the manager that ran the task (set on completion).
@@ -80,75 +61,27 @@ class TaskRecord:
     #: Trace context (:func:`repro.observability.trace.new_trace` shape):
     #: trace id + per-hop span events, shared by reference with the gateway
     #: item and the interchange dispatch item. None when tracing is off.
-    #: Survives retirement — it is a small dict
-    #: whose spans are already flushed by then, but the gateway still reads
-    #: the id for its ``delivered`` stamp.
+    #: Kept by :meth:`release` — it is a small dict whose spans are already
+    #: flushed by then, but the gateway still reads the id for its
+    #: ``delivered`` stamp.
     trace: Optional[Dict[str, Any]] = None
     outputs: List[Any] = field(default_factory=list)
     time_invoked: float = field(default_factory=time.time)
     time_returned: Optional[float] = None
     task_launch_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    retired: Optional[RetiredTaskSummary] = field(default=None, repr=False)
 
-    def state_name(self) -> str:
-        return self.status.name
+    def release(self) -> None:
+        """Drop what a finished task no longer needs.
 
-    def _depends_ids(self) -> Tuple[Optional[int], ...]:
-        return tuple(
-            getattr(d, "task_record", None) and getattr(d.task_record, "id", None)
-            for d in self.depends
-        )
-
-    def retire(self) -> RetiredTaskSummary:
-        """Drop the heavy references, leaving a compact frozen summary.
-
-        Only valid once the task is in a final state: the callable, the raw
-        arguments, the executor future, and the dependency futures are all
-        released so the garbage collector can reclaim them (and whatever
-        they pin). The AppFuture is kept — it holds the user-visible result
-        — as are the cheap scalar fields. Idempotent.
+        Called once the task is final and its completion hooks have run:
+        the callable, the arguments, the executor future, the dependency
+        futures (which would pin every upstream record) and the resource
+        spec go; the AppFuture, the scalars and the trace stay.
         """
-        if self.retired is not None:
-            return self.retired
-        summary = RetiredTaskSummary(
-            task_id=self.id,
-            func_name=self.func_name,
-            executor=self.executor,
-            fail_count=self.fail_count,
-            memoize=self.memoize,
-            from_memo=self.from_memo,
-            hashsum=self.hashsum,
-            depends_ids=self._depends_ids(),
-            time_invoked=self.time_invoked,
-            time_returned=self.time_returned,
-        )
-        self.retired = summary
-        self.func = _retired_func
+        self.func = None
         self.args = ()
         self.kwargs = {}
         self.exec_fu = None
         self.depends = []
         self.joins = None
         self.resource_specification = {}
-        return summary
-
-    def summary(self) -> Dict[str, Any]:
-        """A compact picklable view used by monitoring and debugging."""
-        depends = self.retired.depends_ids if self.retired is not None else self._depends_ids()
-        return {
-            "task_id": self.id,
-            "func_name": self.func_name,
-            "status": self.status.name,
-            "executor": self.executor,
-            "fail_count": self.fail_count,
-            "memoize": self.memoize,
-            "from_memo": self.from_memo,
-            "depends": list(depends),
-            "time_invoked": self.time_invoked,
-            "time_returned": self.time_returned,
-        }
-
-
-def _retired_func(*_args, **_kwargs):
-    """Placeholder installed in ``TaskRecord.func`` after retirement."""
-    raise RuntimeError("task record has been retired; its callable was released")

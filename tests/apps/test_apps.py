@@ -210,7 +210,6 @@ class TestSchedulingKeywords:
         def rank(items, priority=1):
             return priority
 
-        dfk = repro.dfk()
         fut = rank([1], priority=2)
         assert fut.result(timeout=10) == 2  # call-time value reached the body
-        assert dfk.tasks[fut.task_record.id].priority == 7  # decorator value scheduled it
+        assert fut.task_record.priority == 7  # decorator value scheduled it

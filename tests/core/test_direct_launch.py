@@ -128,7 +128,7 @@ def test_trace_is_minted_at_launch_and_not_for_memo_hits(run_dir):
 def test_cleaned_up_kernel_is_collectable(run_dir):
     """cleanup() drops the interpreter-exit hook, the last outside reference
     to the kernel, so a process that creates many kernels does not keep
-    every one (with its task table and monitoring rows) until exit."""
+    every one (with its memo table and monitoring rows) until exit."""
     dfk = DataFlowKernel(Config(
         executors=[ThreadPoolExecutor(label="threads", max_threads=2)],
         run_dir=run_dir,

@@ -71,13 +71,6 @@ class TestStates:
     def test_str(self):
         assert str(States.launched) == "launched"
 
-    def test_task_record_summary(self):
-        record = make_record(9)
-        record.status = States.running
-        summary = record.summary()
-        assert summary["task_id"] == 9
-        assert summary["status"] == "running"
-
 
 class TestCompletionHooksAndTags:
     """DFK task tagging and completion fan-out (the gateway's feed)."""
@@ -139,9 +132,10 @@ class TestCompletionHooksAndTags:
         finally:
             threads_dfk.remove_completion_hook(angry_hook)
 
-    def test_tag_survives_retirement(self, threads_dfk):
+    def test_tag_survives_completion(self, threads_dfk):
         future = threads_dfk.submit(lambda: 1, tag="tenant-z")
         assert future.result(timeout=10) == 1
-        task = threads_dfk.tasks[future.tid]
-        # Record is retired by default; the tag is a scalar and must remain.
+        task = future.task_record
+        # A finished record releases its callable and arguments; the tag is a
+        # scalar and must remain.
         assert task.tag == "tenant-z"

@@ -73,7 +73,7 @@ class TestHTEXIntegration:
             with pytest.raises(TaskWalltimeExceeded):
                 future.result(timeout=30)
             assert time.perf_counter() - start < 8.0
-            task = dfk.tasks[future.tid]
+            task = future.task_record
             assert task.fail_count == 1, "a walltime kill must not be retried"
             # The worker slot was reclaimed: quick follow-up work still runs.
             follow_up = dfk.submit(sleeper, app_args=(0.01,))

@@ -112,11 +112,12 @@ class TestDependencyGraph:
 
 class TestRetriesAndFaultTolerance:
     def test_retry_recovers_transient_failure(self, run_dir, tmp_path):
-        dfk = repro.load(make_local_config(run_dir, retries=2))
+        repro.load(make_local_config(run_dir, retries=2))
         try:
             marker = str(tmp_path / "marker.txt")
-            assert fail_unless_marker(marker).result(timeout=60) == "recovered"
-            record = dfk.tasks[0]
+            future = fail_unless_marker(marker)
+            assert future.result(timeout=60) == "recovered"
+            record = future.task_record
             assert record.fail_count == 1
         finally:
             repro.clear()
@@ -132,12 +133,12 @@ class TestRetriesAndFaultTolerance:
     def test_retry_pending_backoff_resolves_at_cleanup(self, run_dir):
         """A retry waiting out its backoff when the DFK shuts down must still
         resolve its AppFuture (with an error) rather than hang forever."""
-        dfk = repro.load(make_local_config(run_dir, retries=1, retry_backoff_s=1.0))
+        repro.load(make_local_config(run_dir, retries=1, retry_backoff_s=1.0))
         fut = always_raise()
         deadline = time.time() + 10
-        while dfk.tasks[0].fail_count < 1 and time.time() < deadline:
+        while fut.task_record.fail_count < 1 and time.time() < deadline:
             time.sleep(0.02)
-        assert dfk.tasks[0].fail_count >= 1
+        assert fut.task_record.fail_count >= 1
         repro.clear()  # cleanup lands inside the 1s backoff window
         with pytest.raises(Exception):
             fut.result(timeout=10)
@@ -163,14 +164,14 @@ class TestRetriesAndFaultTolerance:
             run_dir=run_dir,
             strategy="none",
         )
-        dfk = repro.load(cfg)
+        repro.load(cfg)
         try:
             start = time.time()
             fut = increment(1, resource_spec={"priority": 1})
             with pytest.raises(UnsupportedFeatureError):
                 fut.result(timeout=10)
             assert time.time() - start < 5
-            assert dfk.tasks[0].fail_count == 1
+            assert fut.task_record.fail_count == 1
         finally:
             repro.clear()
 
@@ -179,7 +180,7 @@ class TestRetriesAndFaultTolerance:
         through the AppFuture immediately, not burn retries × backoff."""
         from repro.errors import ResourceSpecError
 
-        dfk = repro.load(make_local_config(run_dir, retries=3, retry_backoff_s=5.0))
+        repro.load(make_local_config(run_dir, retries=3, retry_backoff_s=5.0))
         try:
             start = time.time()
             # The spec's affinity pins the task to HTEX (the thread pool
@@ -188,7 +189,7 @@ class TestRetriesAndFaultTolerance:
             with pytest.raises(ResourceSpecError):
                 fut.result(timeout=10)
             assert time.time() - start < 5, "unsatisfiable spec went through retry backoff"
-            assert dfk.tasks[0].fail_count == 1  # one attempt, no retries
+            assert fut.task_record.fail_count == 1  # one attempt, no retries
         finally:
             repro.clear()
 
@@ -267,12 +268,12 @@ class TestMemoizationAndCheckpointing:
 
 class TestMultiExecutor:
     def test_tasks_spread_across_executors(self, run_dir):
-        dfk = repro.load(make_local_config(run_dir))
+        repro.load(make_local_config(run_dir))
         try:
             futures = [increment(i) for i in range(40)]
             for f in futures:
                 f.result(timeout=60)
-            used = {t.executor for t in dfk.tasks.values()}
+            used = {f.task_record.executor for f in futures}
             assert used == {"htex_local", "threads"}
         finally:
             repro.clear()
