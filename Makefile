@@ -17,11 +17,12 @@ test-fast:
 # API tests, the cross-transport tests, the durable-restart tests and the
 # inline-dispatch tests (whose write-ahead ordering depends on timing), and
 # the comms regression for frames a peer sent before a failed write; plus the
-# HTEX manager's sentinel stop and the worker-crash tests, whose respawn-budget
-# case depends on a synthesized loss going out ahead of that stop; and the
-# DFK task-lifetime tests, whose weakref and memory checks depend on the
-# cleanup and pool-drain barriers and on a record being released only after
-# its completion hooks.
+# HTEX manager's stop and the worker-crash tests, whose respawn-budget case
+# depends on a synthesized loss going out ahead of that stop; the manager's
+# thread census, heartbeat-under-a-full-pipe, idle-kill and switch-interval
+# stress tests; and the DFK task-lifetime tests, whose weakref and memory
+# checks depend on the cleanup and pool-drain barriers and on a record being
+# released only after its completion hooks.
 # FLAKE_PASSES times, stopping at the first failure.
 FLAKE_PASSES ?= 20
 FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
@@ -31,6 +32,7 @@ FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
 	tests/service/test_inline_dispatch.py \
 	tests/comms/test_comms.py::TestTCPServerClient::test_failed_send_keeps_frames_the_peer_already_sent \
 	tests/executors/test_manager_frames.py \
+	tests/executors/test_manager_loop.py \
 	tests/executors/test_worker_crash.py::TestWorkerCrashContainment \
 	tests/core/test_task_lifetime.py
 

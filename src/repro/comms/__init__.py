@@ -19,7 +19,6 @@ write — the multipart fast path used by the HTEX dispatch pipeline.
 """
 
 from repro.comms.protocol import (
-    FrameBatcher,
     FrameProtocolError,
     decode_batch,
     decode_message,
@@ -34,7 +33,6 @@ from repro.comms.client import MessageClient
 from repro.comms.inproc import InprocRouter, InprocDealer, InprocFabric
 
 __all__ = [
-    "FrameBatcher",
     "FrameProtocolError",
     "send_frame",
     "send_frames",

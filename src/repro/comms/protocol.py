@@ -16,11 +16,9 @@ time with no extra protocol state — but the sender gets to move N messages
 with a single ``sendall`` (one syscall, one TCP segment train), which is the
 multipart trick the paper's interchange relies on for its >1k tasks/s
 dispatch rate. :func:`encode_batch` / :func:`decode_batch` /
-:func:`send_frames` implement that path, and :class:`FrameBatcher` is a
-reusable flush-on-size-or-age coalescing policy for senders that want to
-buffer before writing. (The HTEX hot paths batch at the message level
-instead — the manager greedily drains completed results and flushes
-immediately — so they do not need a delay-based batcher.)
+:func:`send_frames` implement that path. (The HTEX hot paths batch at the
+message level — the manager greedily drains completed results and sends
+them at once — so no latency is traded for density.)
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-import time
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, List
 
 #: Hard cap on a single frame (64 MiB). Tasks and results larger than this
 #: indicate user data that should be passed as Files instead.
@@ -98,57 +95,6 @@ def decode_batch(buffer: bytes) -> List[Any]:
         messages.append(pickle.loads(buffer[start:end]))
         offset = end
     return messages
-
-
-class FrameBatcher:
-    """Coalesce messages into batches, flushing on size or age.
-
-    The batcher accumulates messages via :meth:`add` and hands back an
-    encoded batch when ``max_items`` is reached. A partially filled batch
-    becomes due once the oldest buffered message has waited ``max_delay``
-    seconds (checked via :meth:`due` and collected with :meth:`flush`), so
-    light traffic is never delayed by more than ``max_delay`` while bursts
-    are packed densely. A custom ``clock`` may be injected for tests.
-    """
-
-    def __init__(self, max_items: int = 16, max_delay: float = 0.05, clock=time.monotonic):
-        if max_items < 1:
-            raise ValueError("max_items must be >= 1")
-        if max_delay < 0:
-            raise ValueError("max_delay must be >= 0")
-        self.max_items = max_items
-        self.max_delay = max_delay
-        self._clock = clock
-        self._buffer: List[Any] = []
-        self._oldest: Optional[float] = None
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def add(self, obj: Any) -> Optional[bytes]:
-        """Buffer one message; returns an encoded batch when it fills up."""
-        if not self._buffer:
-            self._oldest = self._clock()
-        self._buffer.append(obj)
-        if len(self._buffer) >= self.max_items:
-            return self.flush()
-        return None
-
-    def due(self) -> bool:
-        """True when a partial batch has aged past ``max_delay``."""
-        if not self._buffer:
-            return False
-        assert self._oldest is not None
-        return self._clock() - self._oldest >= self.max_delay
-
-    def flush(self) -> Optional[bytes]:
-        """Encode and clear whatever is buffered; None when empty."""
-        if not self._buffer:
-            return None
-        batch = encode_batch(self._buffer)
-        self._buffer = []
-        self._oldest = None
-        return batch
 
 
 def _recv_exactly(sock: socket.socket, nbytes: int) -> bytes:

@@ -180,9 +180,10 @@ class ManagerLost(ReproException):
 class WorkerLost(ReproException):
     """A worker process died while executing a task.
 
-    The manager's supervisor thread detects the death (``Process.exitcode``
-    went non-None without a shutdown being requested), synthesizes this
-    failure for the task the worker had claimed, and respawns the worker.
+    The manager's worker loop detects the death (the worker's
+    ``Process.sentinel`` fired without a shutdown being requested),
+    synthesizes this failure for the task the worker had claimed, and
+    respawns the worker.
     The interchange counts the kill against the task (see
     :class:`WorkerPoisonError`) and redispatches it while the count stays
     under the poison threshold. Classified *retryable* by the default

@@ -1,45 +1,48 @@
 """HTEX manager (pilot agent).
 
-One manager runs per node of a block (§4.3.1). It is a multi-threaded agent
-that:
+One manager runs per node of a block (§4.3.1). It registers with the
+interchange, announcing its worker count and prefetch capacity, passes the
+tasks it receives to a pool of worker processes (or threads, for lightweight
+deployments) and returns their results. Besides the comms client's reader it
+runs three threads, whatever its worker count:
 
-* registers with the interchange, announcing its worker count and prefetch
-  capacity,
-* receives batches of tasks and feeds them to a pool of worker processes (or
-  threads, for lightweight deployments),
-* aggregates results and returns them to the interchange in batches: a
-  result-pusher thread blocks on the local result queue and sends whatever
-  has accumulated as one ``results`` frame,
-* exchanges heartbeats with the interchange and **exits immediately** if the
-  interchange goes silent, to avoid wasting allocation time — the behaviour
-  described in the paper,
-* supervises its workers: each worker publishes the task it is executing in
-  a shared claims array, and a supervisor thread polls worker liveness. A
-  worker that dies mid-task (segfault, OOM kill, ``os._exit`` in user code)
-  gets a :class:`~repro.errors.WorkerLost` result synthesized for its
-  claimed task — the interchange releases the cores it held — and is
-  respawned, up to ``worker_respawn_limit`` respawns per manager. Past the
-  budget the manager exits cleanly so the interchange's ``ManagerLost``
-  path requeues whatever it still held.
+* ``<id>-tasks`` blocks in ``recv()`` on the interchange connection and
+  writes each task to the least-loaded live worker's pipe. It is the only
+  thread that blocks on a worker pipe, so a large task sent to a busy worker
+  stalls only this thread.
+* ``<id>-workers`` blocks, with no timeout, on every worker pipe, every
+  process worker's ``Process.sentinel`` and a wake connection that
+  :meth:`Manager._stop` writes to. On each wake-up it reads every readable
+  pipe until empty and sends whatever settled as one ``results`` frame, so
+  bursts travel as dense batches while a lone result is never delayed.
+* ``<id>-heartbeat`` exchanges heartbeats with the interchange on a timer of
+  its own, so a pipe write can never delay one, and **exits immediately** if
+  the interchange goes silent, to avoid wasting allocation time — the
+  behaviour described in the paper.
+
+Each worker publishes the task it is executing in a shared claims array. A
+process worker that dies mid-task (segfault, OOM kill, ``os._exit`` in user
+code) fires its sentinel: the worker loop salvages the results still in its
+pipe, synthesizes a :class:`~repro.errors.WorkerLost` result for its claimed
+task — the interchange releases the cores it held — respawns the slot and
+hands the dead worker's never-started tasks to the replacement, up to
+``worker_respawn_limit`` respawns per manager. Past the budget the manager
+sends the loss and stops, so the interchange's ``ManagerLost`` path requeues
+whatever it still held.
 
 The manager keeps no count of its own capacity. The interchange's ledger
 alone decides how many tasks a manager holds (workers + prefetch, in
 core-slots); the manager only remembers which task ids are still unsettled,
 so that the first settle of a task wins. Every service loop ends through
-:meth:`Manager._stop`, which sets the stop event and queues a ``None``
-sentinel behind the results already queued, so those still go out.
+:meth:`Manager._stop`; results read before it are still sent.
 
-Tasks travel to process workers over **per-worker duplex pipes**, not a
-shared ``multiprocessing.Queue``: the shared queue's cross-process read
-lock is held by whichever idle worker is currently inside
-``get(timeout=...)``, so a SIGKILL landing on that worker would wedge the
-entire pool (and all future respawns) behind a lock nobody will ever
-release — a frozen pool that still heartbeats. With private pipes the
-manager routes each task to the least-loaded live worker, a per-slot
-reader thread funnels results into a manager-local (single-process, and
-therefore unpoisonable) queue, and when a worker dies the supervisor
-drains whatever the victim managed to send, synthesizes the loss for its
-claimed task, and re-routes the tasks it never started.
+Tasks travel to workers over **per-worker duplex pipes**, not a shared
+``multiprocessing.Queue``: the shared queue's cross-process read lock is held
+by whichever idle worker is waiting in ``get()``, so a SIGKILL landing on
+that worker would wedge the entire pool (and all future respawns) behind a
+lock nobody will ever release — a frozen pool that still heartbeats. A
+private pipe can only be severed for its own worker. Thread workers use the
+same pipes, so one loop serves both modes.
 
 The manager can be embedded (``Manager(...).start()`` from Python, used by
 tests and by the thread-mode executor) or run as a process via
@@ -50,24 +53,27 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import queue as queue_module
+import selectors
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.comms.client import MessageClient
 from repro.executors.htex import messages as msg
-from repro.executors.htex.worker import (
-    NO_CLAIM,
-    STOP,
-    ThreadChannel,
-    worker_loop,
-    worker_process_main,
-)
+from repro.executors.htex.worker import NO_CLAIM, STOP, worker_loop, worker_process_main
 from repro.utils.ids import make_manager_id
 
 logger = logging.getLogger(__name__)
+
+#: The fields of a task item a worker reads; the interchange's bookkeeping
+#: (``trace``, ``_vtime``, ``priority``, ...) stays on this side of the pipe.
+_WORKER_FIELDS = ("task_id", "buffer", "walltime_s")
+
+#: Held while a worker process is forked: a fork from another manager in the
+#: same process would otherwise copy this worker's pipe end and sentinel
+#: write end, and then its death would never wake the worker loop.
+_SPAWN_LOCK = threading.Lock()
 
 
 class Manager:
@@ -85,7 +91,6 @@ class Manager:
         worker_mode: str = "process",
         sandbox_root: Optional[str] = None,
         worker_respawn_limit: int = 8,
-        supervision_period: float = 0.1,
     ):
         if worker_count < 1:
             raise ValueError("worker_count must be >= 1")
@@ -104,53 +109,44 @@ class Manager:
         self.sandbox_root = sandbox_root
         self.manager_id = make_manager_id()
         self.worker_respawn_limit = worker_respawn_limit
-        self.supervision_period = supervision_period
 
         self._client: Optional[MessageClient] = None
-        self._workers: List[Any] = []
+        self._ctx = multiprocessing.get_context("fork")
         if worker_mode == "process":
-            ctx = multiprocessing.get_context("fork")
-            self._ctx = ctx
             # One slot per worker in shared memory: the task id the worker is
             # executing, NO_CLAIM when idle. Survives the worker's death (the
             # whole point), unlike anything in flight on the worker's pipe.
-            self._claims: Any = ctx.Array("q", [NO_CLAIM] * worker_count, lock=False)
+            self._claims: Any = self._ctx.Array("q", [NO_CLAIM] * worker_count, lock=False)
         else:
-            self._ctx = None
             self._claims = [NO_CLAIM] * worker_count
-        # Results funnel into a manager-local queue — plain queue.Queue, no
-        # cross-process locks a dying worker could poison. Process workers
-        # reach it via per-slot reader threads; thread workers deliver
-        # directly.
-        self._result_queue: Any = queue_module.Queue()
-        #: Per-slot manager-side channel to the worker: a duplex Connection
-        #: (process mode) or a ThreadChannel (thread mode).
-        self._channels: List[Any] = [None] * worker_count
-        #: Per-slot send lock: the task router, the supervisor's re-route and
-        #: shutdown's STOP pills may write the same pipe concurrently, and
-        #: Connection.send is not atomic across writers.
-        self._channel_locks: List[threading.Lock] = [
-            threading.Lock() for _ in range(worker_count)
-        ]
-        #: Per-slot (reader thread, stop event); None for thread workers.
-        self._readers: List[Any] = [None] * worker_count
-        #: Per-slot task_id -> item for tasks routed to that worker and not
-        #: yet settled; guarded by ``_tasks_lock``. On worker death this
-        #: is exactly the set to recover: the claimed entry becomes a
-        #: synthesized loss, the rest never started and are re-routed.
-        self._assigned: List[Dict[int, Dict[str, Any]]] = [
-            {} for _ in range(worker_count)
-        ]
-        self._stop_event = threading.Event()
-        self._threads: Dict[str, threading.Thread] = {}
-        self._last_interchange_contact = time.time()
+        #: Per-slot worker handle (Process or Thread) and manager-side end of
+        #: its duplex pipe. The worker loop alone replaces them, on respawn.
+        self._workers: List[Any] = [None] * worker_count
+        self._conns: List[Any] = [None] * worker_count
+        #: Per-slot send lock: a pipe write is not atomic across writers, and
+        #: the worker loop must not close a pipe another thread is writing.
+        self._send_locks = [threading.Lock() for _ in range(worker_count)]
+        #: Guards the three fields below; notified when a slot becomes
+        #: routable again or the manager stops.
+        self._tasks_lock = threading.Condition()
+        #: Slots the tasks loop may send to: live, and not mid-respawn.
+        self._routable: Set[int] = set()
+        #: Per-slot task_id -> worker payload for tasks sent to that worker
+        #: and not yet settled. On worker death this is exactly the set to
+        #: recover: the claimed entry becomes a synthesized loss, the rest
+        #: never started and go to the replacement.
+        self._assigned: List[Dict[int, Dict[str, Any]]] = [{} for _ in range(worker_count)]
         #: Ids of tasks received and not yet settled. The first result or
         #: synthesized loss for an id removes it; a later one is dropped.
         self._unsettled: Set[int] = set()
-        self._tasks_lock = threading.Lock()
+        #: Written by _stop() to wake the worker loop.
+        self._wake_recv, self._wake_send = self._ctx.Pipe(duplex=False)
+        self._stop_event = threading.Event()
+        self._threads: Dict[str, threading.Thread] = {}
+        self._last_interchange_contact = time.time()
         self.tasks_received = 0
         self.results_sent = 0
-        #: Workers that died unexpectedly / were respawned by the supervisor.
+        #: Workers that died unexpectedly / were respawned by the worker loop.
         self.workers_lost = 0
         self.workers_respawned = 0
 
@@ -169,320 +165,256 @@ class Manager:
             identity=self.manager_id,
             registration_info=registration,
         )
-        self._start_workers()
+        for worker_id in range(self.worker_count):
+            self._workers[worker_id], self._conns[worker_id] = self._spawn_worker(worker_id)
+            self._routable.add(worker_id)
         for name, target in [
-            ("task-puller", self._task_pull_loop),
-            ("result-pusher", self._result_push_loop),
+            ("tasks", self._task_loop),
+            ("workers", self._worker_loop),
             ("heartbeat", self._heartbeat_loop),
-            ("supervisor", self._supervise_loop),
         ]:
             t = threading.Thread(target=target, name=f"{self.manager_id}-{name}", daemon=True)
             t.start()
             self._threads[name] = t
 
-    def _start_workers(self) -> None:
-        for worker_id in range(self.worker_count):
-            self._workers.append(self._spawn_worker(worker_id))
-
-    def _spawn_worker(self, worker_id: int) -> Any:
-        """Start (or restart) the worker for one slot and return its handle."""
+    def _spawn_worker(self, worker_id: int) -> Tuple[Any, Any]:
+        """Start (or restart) one slot's worker; returns it and its pipe end."""
         self._claims[worker_id] = NO_CLAIM
-        if self.worker_mode == "process":
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            proc = self._ctx.Process(
+        name = f"{self.manager_id}-worker-{worker_id}"
+        if self.worker_mode == "thread":
+            conn, child_conn = self._ctx.Pipe(duplex=True)
+            worker: Any = threading.Thread(
+                target=worker_loop,
+                args=(worker_id, child_conn, self.sandbox_root, self._claims),
+                name=name,
+                daemon=True,
+            )
+            worker.start()
+            return worker, conn
+        with _SPAWN_LOCK:
+            conn, child_conn = self._ctx.Pipe(duplex=True)
+            worker = self._ctx.Process(
                 target=worker_process_main,
                 args=(worker_id, child_conn, self.sandbox_root, self._claims),
-                name=f"{self.manager_id}-worker-{worker_id}",
+                name=name,
                 daemon=True,
             )
-            proc.start()
+            worker.start()
             child_conn.close()  # the worker holds its own copy now
-            self._channels[worker_id] = parent_conn
-            stop_evt = threading.Event()
-            reader = threading.Thread(
-                target=self._reader_loop,
-                args=(worker_id, parent_conn, stop_evt),
-                name=f"{self.manager_id}-reader-{worker_id}",
-                daemon=True,
-            )
-            reader.start()
-            self._readers[worker_id] = (reader, stop_evt)
-            return proc
-        channel = ThreadChannel(
-            lambda item, wid=worker_id: self._deliver_result(wid, item)
-        )
-        self._channels[worker_id] = channel
-        t = threading.Thread(
-            target=worker_loop,
-            args=(worker_id, channel, self.sandbox_root, self._claims),
-            name=f"{self.manager_id}-worker-{worker_id}",
-            daemon=True,
-        )
-        t.start()
-        return t
+        return worker, conn
+
+    def _send(self, worker_id: int, conn: Any, payload: Any) -> None:
+        with self._send_locks[worker_id]:
+            conn.send(payload)
 
     # ------------------------------------------------------------------
-    # Per-worker channel plumbing
+    # Tasks: interchange -> workers
     # ------------------------------------------------------------------
-    def _deliver_result(self, worker_id: int, item: Dict[str, Any]) -> None:
-        """Move one worker result into the local result queue.
-
-        Pops the task from the slot's assigned set first, so that when the
-        supervisor later sweeps a dead worker's slot, whatever is left there
-        is exactly the work that never produced a result.
-        """
-        with self._tasks_lock:
-            self._assigned[worker_id].pop(item.get("task_id"), None)
-        self._result_queue.put(item)
-
-    def _reader_loop(self, worker_id: int, conn: Any, stop_evt: threading.Event) -> None:
-        """Funnel one process worker's pipe into the local result queue."""
-        while not (stop_evt.is_set() or self._stop_event.is_set()):
-            try:
-                if conn.poll(0.1):
-                    item = conn.recv()
-                    if item is not None:
-                        self._deliver_result(worker_id, item)
-            except (EOFError, OSError):
-                return
-
-    def _send_to_worker(self, worker_id: int, payload: Any) -> None:
-        with self._channel_locks[worker_id]:
-            self._channels[worker_id].send(payload)
-
-    def _route_item(self, item: Dict[str, Any]) -> None:
-        """Send one task to the least-loaded live worker.
-
-        Blocks (politely) while every slot is mid-respawn; if the manager
-        stops before a live worker appears, the item stays unsettled and the
-        interchange's ManagerLost path requeues it.
-        """
-        task_id = item["task_id"]
-        while not self._stop_event.is_set():
-            with self._tasks_lock:
-                live = [
-                    wid
-                    for wid in range(self.worker_count)
-                    if not self._worker_is_dead(self._workers[wid])
-                ]
-                if live:
-                    target = min(live, key=lambda wid: len(self._assigned[wid]))
-                    self._assigned[target][task_id] = item
-                else:
-                    target = None
-            if target is None:
-                time.sleep(0.02)
-                continue
-            try:
-                self._send_to_worker(target, item)
-                return
-            except (OSError, ValueError, BrokenPipeError):
-                # The worker died between the liveness check and the send;
-                # un-assign and pick again (the supervisor will respawn it).
-                with self._tasks_lock:
-                    self._assigned[target].pop(task_id, None)
-                time.sleep(0.01)
-
-    # ------------------------------------------------------------------
-    # Service loops
-    # ------------------------------------------------------------------
-    def _task_pull_loop(self) -> None:
+    def _task_loop(self) -> None:
         assert self._client is not None
         while not self._stop_event.is_set():
-            message = self._client.recv(timeout=0.1)
-            if message is None:
-                continue
+            message = self._client.recv()
             mtype = message.get("type")
+            if mtype == "connection_lost":
+                if not self._stop_event.is_set():
+                    logger.warning("manager %s lost its interchange connection; exiting", self.manager_id)
+                self._stop()
+                return
+            self._last_interchange_contact = time.time()
             if mtype == "tasks":
                 items = message.get("items", [])
                 self.tasks_received += len(items)
                 with self._tasks_lock:
                     self._unsettled.update(item["task_id"] for item in items)
                 for item in items:
-                    self._route_item(item)
-                self._last_interchange_contact = time.time()
-            elif mtype == "heartbeat_reply":
-                self._last_interchange_contact = time.time()
+                    self._route({key: item[key] for key in _WORKER_FIELDS if key in item})
             elif mtype == "drain":
                 logger.info("manager %s draining (block scale-in)", self.manager_id)
-                self._last_interchange_contact = time.time()
                 self._client.send(msg.drain_ack_message())
             elif mtype == "shutdown":
                 logger.info("manager %s received shutdown", self.manager_id)
                 self._stop()
-            elif mtype == "connection_lost":
-                if not self._stop_event.is_set():
-                    logger.warning("manager %s lost its interchange connection; exiting", self.manager_id)
-                self._stop()
 
-    def _result_push_loop(self) -> None:
-        """Return results to the interchange, one ``results`` frame per wake-up.
+    def _route(self, payload: Dict[str, Any]) -> None:
+        """Send one task to the least-loaded routable worker.
 
-        Blocks for the next item, then takes everything else already queued
-        and sends it as one frame: bursts travel as dense batches while a
-        lone result is never delayed by a flush timer. A batch needs no size
-        cap, since only the tasks the interchange placed here (at most
-        workers + prefetch) produce items.
-
-        Items are either genuine results (``buffer``) or supervisor-synthesized
-        losses (``worker_lost``); either way the first settle of a task id wins
-        — later items for an already-settled task are dropped, which is what
-        makes the claim-clearing race in the worker benign. A ``None`` is the
-        sentinel :meth:`_stop` queues: the loop sends what it took alongside
-        it, then exits.
+        Waits while every slot is mid-respawn; if the manager stops first,
+        the task stays unsettled and the interchange's ManagerLost path
+        requeues it.
         """
-        assert self._client is not None
+        task_id = payload["task_id"]
         while True:
-            raw: List[Optional[Dict[str, Any]]] = [self._result_queue.get()]
-            while True:
-                try:
-                    raw.append(self._result_queue.get_nowait())
-                except queue_module.Empty:
-                    break
-            batch: List[Dict[str, Any]] = []
             with self._tasks_lock:
-                for result in raw:
-                    if result is None or result["task_id"] not in self._unsettled:
-                        continue  # the sentinel, or already settled (a result raced a synthesized loss)
-                    self._unsettled.remove(result["task_id"])
-                    entry: Dict[str, Any] = {"task_id": result["task_id"]}
-                    if "buffer" in result:
-                        entry["buffer"] = result["buffer"]
-                        # Worker-side execution endpoints plus the moment this
-                        # manager shipped the result: the interchange merges
-                        # them into the task's trace span events and the
-                        # execution-latency histogram.
-                        for key in ("exec_start", "exec_end"):
-                            if key in result:
-                                entry[key] = result[key]
-                        entry["sent_at"] = time.time()
-                    else:
-                        entry["worker_lost"] = result["worker_lost"]
-                    batch.append(entry)
-            if batch:
-                self.results_sent += len(batch)
-                self._client.send(msg.results_message(batch))
-            if None in raw:
+                self._tasks_lock.wait_for(lambda: self._routable or self._stop_event.is_set())
+                if self._stop_event.is_set():
+                    return
+                target = min(self._routable, key=lambda wid: len(self._assigned[wid]))
+                conn = self._conns[target]
+                self._assigned[target][task_id] = payload
+            try:
+                self._send(target, conn, payload)
                 return
+            except OSError:
+                with self._tasks_lock:
+                    if self._conns[target] is not conn or task_id not in self._assigned[target]:
+                        return  # the worker loop already took it over as an orphan
+                    # The worker died before the worker loop saw its sentinel:
+                    # take the task back and wait for a live slot.
+                    del self._assigned[target][task_id]
+                    self._routable.discard(target)
 
     # ------------------------------------------------------------------
-    # Worker supervision
+    # Workers: results, deaths and respawns
     # ------------------------------------------------------------------
-    def _worker_is_dead(self, worker: Any) -> bool:
-        if hasattr(worker, "exitcode"):
-            return worker.exitcode is not None
-        return not worker.is_alive()
+    def _worker_loop(self) -> None:
+        """Return results and contain worker crashes, one wake-up at a time.
 
-    def _supervise_loop(self) -> None:
-        """Contain worker crashes: synthesize losses, release cores, respawn.
-
-        Polls every worker slot each ``supervision_period``. A worker that
-        died without a shutdown being requested has its claimed task (read
-        from the shared claims array) settled with a synthesized
-        ``worker_lost`` item pushed through the normal result path — so the
-        interchange learns about the kill and releases the task's cores — and
-        the slot is respawned, until ``worker_respawn_limit`` respawns have
-        been spent. Past the budget the manager stops cleanly: the loss is
-        already queued ahead of :meth:`_stop`'s sentinel, so it reaches the
-        interchange (else a poison task would reset its kill tally on every
-        manager it chews through), and the interchange's ManagerLost
-        machinery requeues everything else the manager held — strictly
-        better than a zombie manager heartbeating over a shrinking
-        (eventually empty) worker pool.
+        Results come first: every readable pipe is read until empty. Then
+        each process worker whose sentinel fired is retired: results it sent
+        before dying were salvaged with the rest and settle ahead of the
+        synthesized ``worker_lost`` item for its claimed task. Everything
+        settled goes out as one ``results`` frame, and only then are dead
+        slots respawned — or, once ``worker_respawn_limit`` respawns have
+        been spent, the manager stops, its loss already sent (else a poison
+        task would reset its kill tally on every manager it chews through).
         """
         hostname = socket.gethostname()
         respawns_left = self.worker_respawn_limit
-        while not self._stop_event.is_set():
-            self._stop_event.wait(self.supervision_period)
-            if self._stop_event.is_set():
-                return
-            for worker_id, worker in enumerate(self._workers):
-                if not self._worker_is_dead(worker):
-                    continue
-                if self._stop_event.is_set():
-                    return  # shutdown raced the poll: STOP-pill exits are not crashes
-                self.workers_lost += 1
-                exitcode = getattr(worker, "exitcode", None)
-                claimed = self._claims[worker_id]
-                logger.warning(
-                    "manager %s: worker %d died (exitcode %s) holding task %s",
-                    self.manager_id, worker_id, exitcode,
-                    claimed if claimed != NO_CLAIM else "none",
-                )
-                # Salvage first: results the victim sent before dying are
-                # still readable from its pipe, and delivering them pops the
-                # slot's assigned set — so the loss/re-route sweep below sees
-                # only work that genuinely never finished. FIFO through the
-                # local result queue then guarantees a salvaged genuine
-                # result settles before the synthesized loss reaches dedup.
-                self._retire_channel(worker_id)
-                if claimed != NO_CLAIM:
-                    self._claims[worker_id] = NO_CLAIM
-                    self._result_queue.put(
-                        msg.worker_lost_item(int(claimed), worker_id, hostname, exitcode)
+        selector = selectors.DefaultSelector()
+        selector.register(self._wake_recv, selectors.EVENT_READ)
+        for worker_id in range(self.worker_count):
+            self._watch(selector, worker_id)
+        try:
+            while True:
+                received: List[Tuple[int, Dict[str, Any]]] = []
+                dead: List[int] = []
+                ready = selector.select()
+                while ready:
+                    for key, _events in ready:
+                        if key.data is None:
+                            continue  # the wake connection: the stop event says why
+                        worker_id, is_pipe = key.data
+                        if not is_pipe:
+                            selector.unregister(key.fileobj)
+                            dead.append(worker_id)
+                            with self._tasks_lock:
+                                self._routable.discard(worker_id)
+                            continue
+                        try:
+                            received.append((worker_id, key.fileobj.recv()))
+                        except (EOFError, OSError):
+                            selector.unregister(key.fileobj)  # a dying worker: its sentinel follows
+                    ready = [
+                        (key, events)
+                        for key, events in selector.select(0)
+                        if key.data is not None and key.data[1]
+                    ]
+                stopping = self._stop_event.is_set()
+                for worker_id in [] if stopping else dead:  # STOP-pill exits are not crashes
+                    worker = self._workers[worker_id]
+                    worker.join()  # already exited: reaps it and sets its exitcode
+                    claimed = int(self._claims[worker_id])
+                    self.workers_lost += 1
+                    logger.warning(
+                        "manager %s: worker %d died (exitcode %s) holding task %s",
+                        self.manager_id, worker_id, worker.exitcode,
+                        claimed if claimed != NO_CLAIM else "none",
                     )
-                if respawns_left > 0:
-                    respawns_left -= 1
-                    self.workers_respawned += 1
-                    self._workers[worker_id] = self._spawn_worker(worker_id)
-                    self._reroute_orphans(worker_id, int(claimed))
-                else:
-                    logger.error(
-                        "manager %s: worker respawn budget (%d) exhausted; exiting so "
-                        "the interchange takes over",
-                        self.manager_id, self.worker_respawn_limit,
-                    )
-                    self._stop()
+                    if claimed != NO_CLAIM:
+                        received.append(
+                            (worker_id, msg.worker_lost_item(claimed, worker_id, hostname, worker.exitcode))
+                        )
+                self._send_results(received)
+                if stopping:
                     return
+                for worker_id in dead:
+                    if respawns_left == 0:
+                        logger.error(
+                            "manager %s: worker respawn budget (%d) exhausted; exiting so "
+                            "the interchange takes over",
+                            self.manager_id, self.worker_respawn_limit,
+                        )
+                        self._stop()
+                        return
+                    respawns_left -= 1
+                    if self._conns[worker_id] in selector.get_map():
+                        selector.unregister(self._conns[worker_id])
+                    self._respawn(worker_id)
+                    self._watch(selector, worker_id)
+        finally:
+            selector.close()
 
-    def _retire_channel(self, worker_id: int) -> None:
-        """Stop a dead worker's reader and salvage what its pipe still holds.
+    def _watch(self, selector: selectors.BaseSelector, worker_id: int) -> None:
+        """Wake the worker loop on this slot's results and, for a process, its exit."""
+        selector.register(self._conns[worker_id], selectors.EVENT_READ, (worker_id, True))
+        if self.worker_mode == "process":
+            selector.register(self._workers[worker_id].sentinel, selectors.EVENT_READ, (worker_id, False))
 
-        A SIGKILLed worker may have sent results the reader had not pulled
-        yet; pipe contents survive the writer's death, so drain them before
-        closing. Thread workers have no reader (they cannot die by signal),
-        so this is a no-op for them.
+    def _send_results(self, received: List[Tuple[int, Dict[str, Any]]]) -> None:
+        """Settle what the workers sent and return it as one ``results`` frame.
+
+        Items are either genuine results (``buffer``) or synthesized losses
+        (``worker_lost``); either way the first settle of a task id wins —
+        later items for an already-settled task are dropped, which is what
+        makes the claim-clearing race in the worker benign.
         """
-        entry = self._readers[worker_id]
-        if entry is None:
-            return
-        reader, stop_evt = entry
-        stop_evt.set()
-        reader.join(timeout=1.0)
-        conn = self._channels[worker_id]
-        try:
-            while conn.poll(0):
-                item = conn.recv()
-                if item is not None:
-                    self._deliver_result(worker_id, item)
-        except (EOFError, OSError):
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
-        self._readers[worker_id] = None
+        batch: List[Dict[str, Any]] = []
+        with self._tasks_lock:
+            for worker_id, result in received:
+                task_id = result["task_id"]
+                self._assigned[worker_id].pop(task_id, None)
+                if task_id not in self._unsettled:
+                    continue  # a result raced a synthesized loss
+                self._unsettled.remove(task_id)
+                entry: Dict[str, Any] = {"task_id": task_id}
+                if "buffer" in result:
+                    entry["buffer"] = result["buffer"]
+                    # Worker-side execution endpoints plus the moment this
+                    # manager shipped the result: the interchange merges them
+                    # into the task's trace span events and the
+                    # execution-latency histogram.
+                    entry["exec_start"] = result["exec_start"]
+                    entry["exec_end"] = result["exec_end"]
+                    entry["sent_at"] = time.time()
+                else:
+                    entry["worker_lost"] = result["worker_lost"]
+                batch.append(entry)
+        if batch:
+            self.results_sent += len(batch)
+            self._client.send(msg.results_message(batch))
 
-    def _reroute_orphans(self, worker_id: int, claimed: int) -> None:
-        """Re-route tasks the dead worker never started to live workers.
+    def _respawn(self, worker_id: int) -> None:
+        """Replace a dead worker and hand it the tasks its predecessor never started.
 
-        After the salvage in :meth:`_retire_channel`, the slot's assigned set
-        holds only unsettled work: the claimed task (mid-execution when the
-        worker died — it becomes a synthesized loss, charged as a kill) and
-        tasks still sitting unread in the dead pipe. The latter never
-        started, so they move to another worker silently: no kill is charged
-        and the interchange never knows.
+        The slot left the routable set when its worker's exit was seen, so
+        the tasks loop cannot write to the replacement while its
+        predecessor's orphans go in; the replacement's pipe is empty, so
+        those writes never wait behind a busy worker. No kill is charged
+        for an orphan and the interchange never learns it moved.
         """
         with self._tasks_lock:
             orphans = [
-                item
-                for task_id, item in self._assigned[worker_id].items()
-                if task_id != claimed and task_id in self._unsettled
+                payload
+                for task_id, payload in self._assigned[worker_id].items()
+                if task_id in self._unsettled
             ]
             self._assigned[worker_id] = {}
-        for item in orphans:
-            self._route_item(item)
+        worker, conn = self._spawn_worker(worker_id)
+        try:
+            for payload in orphans:
+                self._send(worker_id, conn, payload)
+        except OSError:
+            pass  # the replacement died too: its sentinel comes next, orphans and all
+        with self._send_locks[worker_id]:
+            self._conns[worker_id].close()  # a send to the dead worker may be failing on it
+        with self._tasks_lock:
+            self._workers[worker_id], self._conns[worker_id] = worker, conn
+            self._assigned[worker_id] = {payload["task_id"]: payload for payload in orphans}
+            self._routable.add(worker_id)
+            self._tasks_lock.notify_all()
+        self.workers_respawned += 1
 
+    # ------------------------------------------------------------------
     def _heartbeat_loop(self) -> None:
         assert self._client is not None
         while not self._stop_event.is_set():
@@ -499,9 +431,15 @@ class Manager:
 
     # ------------------------------------------------------------------
     def _stop(self) -> None:
-        """End every service loop; results already queued are still sent."""
-        self._stop_event.set()
-        self._result_queue.put(None)
+        """End every service loop; results read before the stop are still sent.
+
+        Each call writes one wake-up; the few places that stop a manager
+        each call this once, so the never-drained wake pipe cannot fill.
+        """
+        with self._tasks_lock:
+            self._stop_event.set()
+            self._tasks_lock.notify_all()
+        self._wake_send.send_bytes(b"")
 
     def wait(self) -> None:
         """Block until the manager shuts down (used by the CLI entry point)."""
@@ -510,33 +448,31 @@ class Manager:
 
     def shutdown(self) -> None:
         self._stop()
-        for worker_id in range(len(self._workers)):
-            try:
-                self._send_to_worker(worker_id, STOP)
-            except (OSError, ValueError, BrokenPipeError, AttributeError):
-                continue  # already-dead worker / retired channel: nothing to stop
-        for worker in self._workers:
-            if hasattr(worker, "terminate"):
-                worker.join(timeout=1)
-                if worker.is_alive():
-                    worker.terminate()
-            else:
-                worker.join(timeout=1)
-        for worker_id, entry in enumerate(self._readers):
-            if entry is None:
-                continue
-            reader, stop_evt = entry
-            stop_evt.set()
-            reader.join(timeout=1)
-            try:
-                self._channels[worker_id].close()
-            except (OSError, AttributeError):
-                pass
-        pusher = self._threads.get("result-pusher")
-        if pusher is not None:
-            pusher.join(timeout=2)
+        # The worker loop sends its last results before the client closes;
+        # closing the client then wakes the tasks loop out of recv().
+        for name in ("workers", "heartbeat"):
+            if name in self._threads:
+                self._threads[name].join(timeout=2)
         if self._client is not None:
             self._client.close()
+        if "tasks" in self._threads:
+            self._threads["tasks"].join(timeout=2)
+        for worker_id, conn in enumerate(self._conns):
+            if conn is None:
+                continue  # never started
+            try:
+                self._send(worker_id, conn, STOP)
+            except OSError:
+                pass  # a dead worker: nothing to stop
+        for worker in self._workers:
+            if worker is None:
+                continue
+            worker.join(timeout=1)
+            if self.worker_mode == "process" and worker.is_alive():
+                worker.terminate()
+        for conn in self._conns:
+            if conn is not None:
+                conn.close()
 
     # ------------------------------------------------------------------
     def run_forever(self) -> None:

@@ -1,150 +1,101 @@
-"""HTEX worker process: executes tasks handed to it by its manager.
+"""HTEX worker: executes tasks handed to it by its manager.
 
-Workers are deliberately dumb: they pull a serialized task from a private
-channel to their manager, run it through the common execution kernel, and
-push the serialized outcome back over the same channel. All protocol
-complexity lives in the manager and interchange.
+Workers are deliberately dumb: they block in ``recv()`` on a private duplex
+pipe to their manager, run each task through the common execution kernel,
+and send the serialized outcome back over the same pipe. All protocol
+complexity lives in the manager and interchange. Process and thread workers
+run the same loop over the same kind of pipe.
 
-Each worker owns a **private duplex pipe** rather than sharing
+Each worker owns a **private pipe** rather than sharing
 ``multiprocessing.Queue``\\ s with its siblings. The shared-queue design has
-a fatal flaw under crash-containment: ``Queue.get(timeout=...)`` holds the
-queue's cross-process read lock for the *entire* poll, so a SIGKILL landing
-on an idle worker (which is where a worker spends most of its life) takes
-the lock to the grave and permanently wedges every sibling — and every
-future respawn — in that pool, while the manager keeps heartbeating over a
-frozen pool. A ``Connection`` has no shared locks: a kill can only sever
-the victim's own channel, which the manager's supervisor then drains and
-retires.
+a fatal flaw under crash-containment: a blocked ``Queue.get`` holds the
+queue's cross-process read lock, so a SIGKILL landing on an idle worker
+(which is where a worker spends most of its life) takes the lock to the
+grave and permanently wedges every sibling — and every future respawn — in
+that pool, while the manager keeps heartbeating over a frozen pool. A
+``Connection`` has no shared locks: a kill can only sever the victim's own
+pipe, which the manager's worker loop then salvages and replaces.
 
 The one piece of bookkeeping a worker does own is its **claim**: before
 executing a task it writes the task id into its slot of the manager's shared
 claims array, and clears the slot (to ``NO_CLAIM``) only after the result has
 been handed off. If the worker dies mid-task — segfault, OOM kill,
 ``os._exit`` in user code — the claim survives in shared memory, so the
-manager's supervisor knows exactly which task went down with the process and
-can synthesize a :class:`~repro.errors.WorkerLost` result for it instead of
+manager knows exactly which task went down with the process and can
+synthesize a :class:`~repro.errors.WorkerLost` result for it instead of
 stranding its future forever.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import time
 from typing import Optional
 
 from repro.executors.execute_task import execute_task
 
-#: Poison pill sent down a worker's channel to terminate it.
+#: Poison pill sent down a worker's pipe to terminate it.
 STOP = None
 
 #: Claims-array value meaning "this worker holds no task".
 NO_CLAIM = -1
 
 
-class WorkerChannel:
-    """Worker-side view of the private duplex pipe to the manager.
-
-    Adapts a :class:`multiprocessing.connection.Connection` to the two-call
-    surface :func:`worker_loop` needs; raising :class:`queue.Empty` on a poll
-    timeout keeps the loop's control flow queue-shaped without reintroducing
-    any cross-process lock.
-    """
-
-    def __init__(self, conn):
-        self._conn = conn
-
-    def get(self, timeout: Optional[float] = None):
-        if self._conn.poll(timeout):
-            return self._conn.recv()
-        raise queue_module.Empty
-
-    def put_result(self, item) -> None:
-        self._conn.send(item)
-
-
-class ThreadChannel:
-    """Thread-mode stand-in for the duplex pipe.
-
-    Thread workers cannot be SIGKILLed, so a private ``queue.Queue`` inbox
-    plus a direct delivery callback into the manager gives the same channel
-    surface with zero serialization cost.
-    """
-
-    def __init__(self, deliver):
-        self.inbox: queue_module.Queue = queue_module.Queue()
-        self._deliver = deliver
-
-    # manager side
-    def send(self, item) -> None:
-        self.inbox.put(item)
-
-    # worker side
-    def get(self, timeout: Optional[float] = None):
-        return self.inbox.get(timeout=timeout)
-
-    def put_result(self, item) -> None:
-        self._deliver(item)
-
-
 def worker_loop(
     worker_id: int,
-    channel,
+    conn,
     sandbox_root: Optional[str] = None,
     claims=None,
 ) -> int:
     """Run tasks until a poison pill arrives; returns the number executed.
 
-    ``channel`` items are dicts with ``task_id`` and ``buffer``; results add
-    the worker id and the serialized outcome. ``claims`` (when given) is a
-    shared array indexed by worker id: the task id currently being executed
-    is published there *before* execution starts and cleared only after the
-    result is handed off, so a crash between the two leaves a readable
-    tombstone for the supervisor.
+    ``conn`` is the worker's end of its duplex pipe to the manager. Items are
+    dicts with ``task_id``, ``buffer`` and, optionally, ``walltime_s``;
+    results carry the serialized outcome and the execution endpoints.
+    ``claims`` (when given) is a shared array indexed by worker id: the task
+    id currently being executed is published there *before* execution
+    starts and cleared only after the result is handed off, so a crash
+    between the two leaves a readable tombstone for the manager.
     """
     executed = 0
     sandbox_dir = None
     if sandbox_root:
         sandbox_dir = os.path.join(sandbox_root, f"worker_{worker_id}")
-    while True:
-        try:
-            item = channel.get(timeout=1.0)
-        except queue_module.Empty:
-            continue
-        except (EOFError, OSError):
-            break
-        if item is STOP:
-            break
-        if claims is not None:
-            claims[worker_id] = item["task_id"]
-        # Execution endpoints are stamped unconditionally (two time.time()
-        # calls): the interchange turns them into span events when the task
-        # carries a trace and into the execution-latency histogram always.
-        exec_start = time.time()
-        buffer = execute_task(
-            item["buffer"], sandbox_dir=sandbox_dir, walltime_s=item.get("walltime_s")
-        )
-        exec_end = time.time()
-        try:
-            channel.put_result(
+    try:
+        while True:
+            item = conn.recv()
+            if item is STOP:
+                break
+            if claims is not None:
+                claims[worker_id] = item["task_id"]
+            # Execution endpoints are stamped unconditionally (two time.time()
+            # calls): the interchange turns them into span events when the
+            # task carries a trace and into the execution-latency histogram
+            # always.
+            exec_start = time.time()
+            buffer = execute_task(
+                item["buffer"], sandbox_dir=sandbox_dir, walltime_s=item.get("walltime_s")
+            )
+            exec_end = time.time()
+            conn.send(
                 {
                     "task_id": item["task_id"],
                     "buffer": buffer,
-                    "worker_id": worker_id,
                     "exec_start": exec_start,
                     "exec_end": exec_end,
                 }
             )
-        except (EOFError, OSError, BrokenPipeError):
-            break
-        if claims is not None:
-            # Cleared only after the result is handed off: a kill landing
-            # between the send and this line leaves the claim set, and the
-            # manager's result-path dedup (first settle wins) discards
-            # whichever of the genuine result / synthesized loss arrives
-            # second.
-            claims[worker_id] = NO_CLAIM
-        executed += 1
+            if claims is not None:
+                # Cleared only after the result is handed off: a kill landing
+                # between the send and this line leaves the claim set, and
+                # the manager's dedup (first settle wins) discards whichever
+                # of the genuine result / synthesized loss arrives second.
+                claims[worker_id] = NO_CLAIM
+            executed += 1
+    except (EOFError, OSError):
+        pass  # the manager closed its end
+    finally:
+        conn.close()
     return executed
 
 
@@ -156,6 +107,6 @@ def worker_process_main(
 ) -> None:
     """Entry point used when the worker runs as a separate OS process."""
     try:
-        worker_loop(worker_id, WorkerChannel(conn), sandbox_root, claims)
+        worker_loop(worker_id, conn, sandbox_root, claims)
     except KeyboardInterrupt:
         pass

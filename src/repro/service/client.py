@@ -23,7 +23,7 @@ import logging
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.comms.client import MessageClient
 from repro.errors import (
@@ -38,6 +38,9 @@ from repro.service import protocol
 from repro.utils.ids import make_uid
 
 logger = logging.getLogger(__name__)
+
+#: Pause before a submission parked by a ``busy`` reply is sent again.
+_BUSY_RESEND_S = 0.05
 
 
 class ServiceFuture(Future):
@@ -97,11 +100,11 @@ class ServiceClient:
         self._unacked: Dict[int, Dict[str, Any]] = {}
         #: Submissions parked by a ``busy`` backpressure reply.
         self._parked: Dict[int, Dict[str, Any]] = {}
-        self._stats_futures: Dict[int, Future] = {}
-        self._metrics_futures: Dict[int, Future] = {}
-        self._alerts_futures: Dict[int, Future] = {}
+        #: Admin requests (stats, metrics, alerts) awaiting their reply:
+        #: req_id -> (future, decoder of the reply frame).
+        self._requests: Dict[int, Tuple[Future, Callable[[Dict[str, Any]], Any]]] = {}
         self._task_counter = 0
-        self._stats_counter = 0
+        self._request_counter = 0
         self._closed = False
         #: Set by close(): wakes the reconnect loop out of its backoff sleep
         #: so shutdown never waits out reconnect_interval.
@@ -232,16 +235,7 @@ class ServiceClient:
 
     def stats(self, timeout: float = 10.0) -> Dict[str, Dict[str, int]]:
         """Fetch the gateway's per-tenant admission counters."""
-        with self._lock:
-            if self._closed:
-                raise ServiceError("client is closed")
-            req_id = self._stats_counter
-            self._stats_counter += 1
-            reply: Future = Future()
-            self._stats_futures[req_id] = reply
-            transport = self._transport
-        transport.send(protocol.stats(req_id))
-        return reply.result(timeout=timeout)
+        return self._request(protocol.stats, lambda reply: reply.get("tenants", {}), timeout)
 
     def metrics(self, timeout: float = 10.0) -> str:
         """Fetch the gateway's live metrics plane (Prometheus text format).
@@ -250,16 +244,7 @@ class ServiceClient:
         totals across the gateway and every shard kernel. Empty when the
         server runs with ``Config(metrics_enabled=False)``.
         """
-        with self._lock:
-            if self._closed:
-                raise ServiceError("client is closed")
-            req_id = self._stats_counter
-            self._stats_counter += 1
-            reply: Future = Future()
-            self._metrics_futures[req_id] = reply
-            transport = self._transport
-        transport.send(protocol.metrics(req_id))
-        return reply.result(timeout=timeout)
+        return self._request(protocol.metrics, lambda reply: str(reply.get("text", "")), timeout)
 
     def alerts(self, timeout: float = 10.0) -> Dict[str, Any]:
         """Fetch the gateway's live ops plane: SLO burn alerts, per-tenant
@@ -268,15 +253,24 @@ class ServiceClient:
         The same document ``GET /v1/alerts`` serves on the HTTP edge
         (``alerts`` / ``slo`` / ``streams`` / ``stragglers`` / ``workers``).
         """
+        return self._request(protocol.alerts, lambda reply: reply.get("payload") or {}, timeout)
+
+    def _request(
+        self,
+        frame: Callable[[int], Dict[str, Any]],
+        decode: Callable[[Dict[str, Any]], Any],
+        timeout: float,
+    ) -> Any:
+        """Send one admin request and wait for its reply, decoded."""
         with self._lock:
             if self._closed:
                 raise ServiceError("client is closed")
-            req_id = self._stats_counter
-            self._stats_counter += 1
+            req_id = self._request_counter
+            self._request_counter += 1
             reply: Future = Future()
-            self._alerts_futures[req_id] = reply
+            self._requests[req_id] = (reply, decode)
             transport = self._transport
-        transport.send(protocol.alerts(req_id))
+        transport.send(frame(req_id))
         return reply.result(timeout=timeout)
 
     def outstanding(self) -> int:
@@ -290,7 +284,7 @@ class ServiceClient:
     def _recv_loop(self) -> None:
         while not self._closed:
             transport = self._transport
-            message = transport.recv(timeout=0.1)
+            message = transport.recv(timeout=self._next_resend_in())
             if message is None:
                 self._retry_parked()
                 continue
@@ -309,21 +303,11 @@ class ServiceClient:
                             future.trace_id = message["trace_id"]
             elif mtype == "busy":
                 self._handle_busy(message)
-            elif mtype == "stats_reply":
+            elif mtype in ("stats_reply", "metrics_reply", "alerts_reply"):
                 with self._lock:
-                    reply = self._stats_futures.pop(message.get("req_id"), None)
+                    reply, decode = self._requests.pop(message.get("req_id"), (None, None))
                 if reply is not None and not reply.done():
-                    reply.set_result(message.get("tenants", {}))
-            elif mtype == "metrics_reply":
-                with self._lock:
-                    reply = self._metrics_futures.pop(message.get("req_id"), None)
-                if reply is not None and not reply.done():
-                    reply.set_result(str(message.get("text", "")))
-            elif mtype == "alerts_reply":
-                with self._lock:
-                    reply = self._alerts_futures.pop(message.get("req_id"), None)
-                if reply is not None and not reply.done():
-                    reply.set_result(message.get("payload") or {})
+                    reply.set_result(decode(message))
             elif mtype == "error":
                 self._handle_error(message)
             elif mtype == "connection_lost":
@@ -373,6 +357,19 @@ class ServiceClient:
                 parked["_parked_at"] = time.monotonic()
                 self._parked[cid] = parked
 
+    def _next_resend_in(self) -> Optional[float]:
+        """Seconds until the earliest parked submission is due; None if none is parked.
+
+        The receive loop waits this long at most, so it blocks without a
+        timeout while nothing is parked; a close or a dropped connection
+        wakes it with ``connection_lost``.
+        """
+        with self._lock:
+            if not self._parked:
+                return None
+            earliest = min(frame["_parked_at"] for frame in self._parked.values())
+        return max(0.0, earliest + _BUSY_RESEND_S - time.monotonic())
+
     def _retry_parked(self) -> None:
         """Resend backpressured submissions after a short pause."""
         now = time.monotonic()
@@ -380,7 +377,7 @@ class ServiceClient:
             due = [
                 cid
                 for cid, frame in self._parked.items()
-                if now - frame["_parked_at"] >= 0.05
+                if now - frame["_parked_at"] >= _BUSY_RESEND_S
             ]
             frames = []
             for cid in due:
@@ -464,18 +461,14 @@ class ServiceClient:
             self._futures.clear()
             self._unacked.clear()
             self._parked.clear()
-            stats_futures = list(self._stats_futures.values())
-            stats_futures += list(self._metrics_futures.values())
-            stats_futures += list(self._alerts_futures.values())
-            self._stats_futures.clear()
-            self._metrics_futures.clear()
-            self._alerts_futures.clear()
+            replies = [reply for reply, _decode in self._requests.values()]
+            self._requests.clear()
             self._closed = True
             self._slots.notify_all()
         for future in futures:
             if not future.done():
                 future.set_exception(exc)
-        for reply in stats_futures:
+        for reply in replies:
             if not reply.done():
                 reply.set_exception(exc)
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comms import (
-    FrameBatcher,
     FrameProtocolError,
     InprocDealer,
     InprocFabric,
@@ -51,47 +50,6 @@ class TestBatchEncoding:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, messages):
         assert decode_batch(encode_batch(messages)) == messages
-
-
-class TestFrameBatcher:
-    def test_flushes_when_full(self):
-        batcher = FrameBatcher(max_items=3, max_delay=100.0)
-        assert batcher.add("a") is None
-        assert batcher.add("b") is None
-        batch = batcher.add("c")
-        assert batch is not None
-        assert decode_batch(batch) == ["a", "b", "c"]
-        assert len(batcher) == 0
-
-    def test_partial_batch_flush_on_timeout(self):
-        clock = {"now": 0.0}
-        batcher = FrameBatcher(max_items=16, max_delay=0.05, clock=lambda: clock["now"])
-        batcher.add("only")
-        assert not batcher.due()
-        clock["now"] = 0.049
-        assert not batcher.due()
-        clock["now"] = 0.051
-        assert batcher.due()
-        assert decode_batch(batcher.flush()) == ["only"]
-        # Once drained, nothing is due and flush yields None (not an empty batch).
-        assert not batcher.due()
-        assert batcher.flush() is None
-
-    def test_age_measured_from_oldest_message(self):
-        clock = {"now": 0.0}
-        batcher = FrameBatcher(max_items=16, max_delay=0.05, clock=lambda: clock["now"])
-        batcher.add("first")
-        clock["now"] = 0.04
-        batcher.add("second")  # newer message must not reset the clock
-        clock["now"] = 0.06
-        assert batcher.due()
-        assert decode_batch(batcher.flush()) == ["first", "second"]
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            FrameBatcher(max_items=0)
-        with pytest.raises(ValueError):
-            FrameBatcher(max_delay=-1)
 
 
 class TestSendManyTCP:

@@ -53,7 +53,6 @@ def attach_process_manager(
     interchange,
     worker_count: int = 2,
     worker_respawn_limit: int = 8,
-    supervision_period: float = 0.05,
     block_id: Optional[str] = None,
     heartbeat_period: float = 0.25,
     heartbeat_threshold: float = 30.0,
@@ -62,7 +61,7 @@ def attach_process_manager(
     """Start an embedded manager with *process* workers on ``interchange``.
 
     The returned manager's ``_workers`` are real OS processes whose pids can
-    be SIGKILLed; its supervisor thread runs in this process, so its
+    be SIGKILLed; its worker loop runs in this process, so its
     ``workers_lost`` / ``workers_respawned`` counters are directly
     assertable. Caller owns shutdown.
     """
@@ -76,7 +75,6 @@ def attach_process_manager(
         heartbeat_threshold=heartbeat_threshold,
         worker_mode="process",
         worker_respawn_limit=worker_respawn_limit,
-        supervision_period=supervision_period,
     )
     manager.start()
     return manager
@@ -86,7 +84,7 @@ def kill_random_worker(manager: Manager, rng: Optional[random.Random] = None) ->
     """SIGKILL one live worker process of ``manager``; returns its pid.
 
     Returns ``None`` when no worker is currently alive (all mid-respawn, or
-    the manager has stopped). Safe to race the supervisor: killing an
+    the manager has stopped). Safe to race the worker loop: killing an
     already-dead pid is caught.
     """
     rng = rng or random
@@ -159,7 +157,6 @@ def _external_manager_main(host, port, worker_count, block_id, worker_respawn_li
         heartbeat_threshold=30.0,
         worker_mode="process",
         worker_respawn_limit=worker_respawn_limit,
-        supervision_period=0.05,
     )
     manager.run_forever()
 
@@ -167,7 +164,7 @@ def _external_manager_main(host, port, worker_count, block_id, worker_respawn_li
 class ExternalManagerProc:
     """A manager living in its own process group, built to be murdered.
 
-    The embedded managers above run their supervisor inside the test
+    The embedded managers above run their worker loop inside the test
     process, which is the right shape for asserting on worker-level
     containment — but killing *the manager itself* needs a separate
     process. :meth:`kill` SIGKILLs the whole group (manager + its forked
@@ -219,7 +216,7 @@ def make_poison_task(exit_code: int = 13):
 
     ``os._exit`` skips every ``finally``/atexit hook, exactly like a
     segfault or the OOM killer from the manager's point of view: the worker
-    vanishes with its claim still published, which is what the supervisor
+    vanishes with its claim still published, which is what the worker loop
     and the interchange's poison quarantine are built to contain. Defined as
     a closure so it serializes by value into worker processes.
     """

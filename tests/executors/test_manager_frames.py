@@ -15,7 +15,12 @@ import pytest
 from repro.comms.server import MessageServer
 from repro.executors.htex import messages as msg
 from repro.executors.htex.manager import Manager
+from repro.executors.htex.worker import NO_CLAIM
 from repro.serialize import pack_apply_message
+
+# The harness lives beside this file; pytest's rootdir-relative import mode
+# puts tests/executors/ on sys.path, so it imports as a top-level module.
+from chaos import wait_for
 
 
 def _double(x):
@@ -78,14 +83,32 @@ def test_manager_sends_only_heartbeats_and_results(server, manager):
     assert not manager._unsettled
 
 
+def _nap_then(x):
+    time.sleep(0.3)
+    return x
+
+
+def _manager_threads(manager):
+    return [t for t in threading.enumerate() if manager.manager_id in t.name]
+
+
 def test_shutdown_sends_queued_results_then_ends_the_pusher(server, manager):
-    """Results queued before the stop go out, and no pusher outlives shutdown."""
-    _await_registration(server)
+    """A result settled just before the stop still goes out, and no thread
+    named after the manager outlives shutdown."""
+    identity = _await_registration(server)
+    threads = _manager_threads(manager)
+    assert server.send(identity, msg.tasks_message([msg.task_item(7, pack_apply_message(_nap_then, (7,), {}))]))
+    assert wait_for(lambda: any(c != NO_CLAIM for c in manager._claims)), "no worker claimed the task"
     with manager._tasks_lock:
-        manager._unsettled.add(99)
-    manager._result_queue.put(msg.worker_lost_item(99, 0, "host-x"))
+        # The worker clears its claim only once its result is in the pipe;
+        # holding the lock keeps the worker loop from settling it until the
+        # stop is in.
+        assert wait_for(lambda: all(c == NO_CLAIM for c in manager._claims))
+        manager._stop()
     manager.shutdown()
-    alive = [t.name for t in threading.enumerate() if t.name == f"{manager.manager_id}-result-pusher"]
-    assert alive == []
-    _types, settled, _heartbeats = _results_until(server, {99})
-    assert settled == [99]
+    assert [t.name for t in threads if t.is_alive() and not t.name.startswith("client-")] == []
+    for t in threads:
+        t.join(timeout=5)  # the comms client's reader ends once its socket closes
+    assert [t.name for t in threads if t.is_alive()] == []
+    _types, settled, _heartbeats = _results_until(server, {7})
+    assert settled == [7]

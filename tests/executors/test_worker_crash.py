@@ -51,7 +51,7 @@ class TestWorkerCrashContainment:
     def test_kill_mid_task_redispatches_and_completes(self, htex_bare):
         """SIGKILL a worker holding a task: the task still completes.
 
-        The supervisor reads the dead worker's claim, synthesizes a loss,
+        The worker loop reads the dead worker's claim, synthesizes a loss,
         respawns the slot; the interchange charges the kill to the task and
         redispatches it (kill 1 < threshold), so the future resolves with the
         right answer — the caller never sees the crash.
@@ -123,14 +123,14 @@ class TestWorkerCrashContainment:
             found = wait_for(lambda: _claimed_worker(manager), timeout=10)
             assert found
             os.kill(found[0].pid, signal.SIGKILL)
-            # Supervisor queues the synthesized loss, then stops the manager.
+            # The worker loop sends the synthesized loss, then stops the manager.
             assert wait_for(manager._stop_event.is_set, timeout=10)
             with pytest.raises(ManagerLost):
                 fut.result(timeout=30)
             assert manager.workers_respawned == 0
             assert wait_for(lambda: ex.interchange.fault_stats()["managers_lost"] == 1)
             assert ex.interchange.fault_stats()["in_flight_cores"] == 0
-            # The loss went out ahead of the stop sentinel: the interchange
+            # The loss went out ahead of the stop: the interchange
             # charged the kill to the task.
             assert ex.interchange.fault_stats()["workers_lost"] == 1
         finally:
