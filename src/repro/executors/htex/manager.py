@@ -7,14 +7,15 @@ deployments) and returns their results. Besides the comms client's reader it
 runs three threads, whatever its worker count:
 
 * ``<id>-tasks`` blocks in ``recv()`` on the interchange connection and
-  writes each task to the least-loaded live worker's pipe. It is the only
-  thread that blocks on a worker pipe, so a large task sent to a busy worker
-  stalls only this thread.
-* ``<id>-workers`` blocks, with no timeout, on every worker pipe, every
-  process worker's ``Process.sentinel`` and a wake connection that
-  :meth:`Manager._stop` writes to. On each wake-up it reads every readable
-  pipe until empty and sends whatever settled as one ``results`` frame, so
-  bursts travel as dense batches while a lone result is never delayed.
+  sends each task to the least-loaded live worker. It is the only thread
+  that blocks on a worker pipe, so a large task sent to a busy worker stalls
+  only this thread.
+* ``<id>-workers`` blocks, with no timeout, on every process worker's pipe
+  and pidfd and on a wake connection that :meth:`Manager._stop` and thread
+  workers write to. On each wake-up it reads every readable pipe until empty,
+  takes the thread workers' results, and sends whatever settled as one
+  ``results`` frame, so bursts travel as dense batches while a lone result
+  is never delayed.
 * ``<id>-heartbeat`` exchanges heartbeats with the interchange on a timer of
   its own, so a pipe write can never delay one, and **exits immediately** if
   the interchange goes silent, to avoid wasting allocation time — the
@@ -22,10 +23,11 @@ runs three threads, whatever its worker count:
 
 Each worker publishes the task it is executing in a shared claims array. A
 process worker that dies mid-task (segfault, OOM kill, ``os._exit`` in user
-code) fires its sentinel: the worker loop salvages the results still in its
-pipe, synthesizes a :class:`~repro.errors.WorkerLost` result for its claimed
-task — the interchange releases the cores it held — respawns the slot and
-hands the dead worker's never-started tasks to the replacement, up to
+code) makes its pidfd readable, whatever descendants it leaves holding its
+pipe: the worker loop salvages the results still in its pipe, synthesizes a
+:class:`~repro.errors.WorkerLost` result for its claimed task — the
+interchange releases the cores it held — respawns the slot and hands the
+dead worker's never-started tasks to the replacement, up to
 ``worker_respawn_limit`` respawns per manager. Past the budget the manager
 sends the loss and stops, so the interchange's ``ManagerLost`` path requeues
 whatever it still held.
@@ -41,8 +43,10 @@ Tasks travel to workers over **per-worker duplex pipes**, not a shared
 by whichever idle worker is waiting in ``get()``, so a SIGKILL landing on
 that worker would wedge the entire pool (and all future respawns) behind a
 lock nobody will ever release — a frozen pool that still heartbeats. A
-private pipe can only be severed for its own worker. Thread workers use the
-same pipes, so one loop serves both modes.
+private pipe can only be severed for its own worker. Thread workers, which
+cannot be killed alone, take tasks from an in-process queue and hand results
+to the worker loop directly: a pipe would cost them two writes per task, each
+handing the interpreter lock to another thread.
 
 The manager can be embedded (``Manager(...).start()`` from Python, used by
 tests and by the thread-mode executor) or run as a process via
@@ -53,10 +57,13 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
+import queue
 import selectors
 import socket
 import threading
 import time
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.comms.client import MessageClient
@@ -70,10 +77,25 @@ logger = logging.getLogger(__name__)
 #: (``trace``, ``_vtime``, ``priority``, ...) stays on this side of the pipe.
 _WORKER_FIELDS = ("task_id", "buffer", "walltime_s")
 
-#: Held while a worker process is forked: a fork from another manager in the
-#: same process would otherwise copy this worker's pipe end and sentinel
-#: write end, and then its death would never wake the worker loop.
-_SPAWN_LOCK = threading.Lock()
+
+def _sever(conn: Any) -> None:
+    """Shut down a worker pipe (a socketpair) without closing its descriptor.
+
+    Reads of what is already buffered still succeed, then end in EOF; a send
+    blocked on the full pipe fails at once. Both would otherwise wait for good
+    on a dead worker whose descendants still hold its end.
+    """
+    with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+        sock.shutdown(socket.SHUT_RDWR)
+
+
+class _Inbox(queue.SimpleQueue):
+    """A thread worker's task queue, sent to and closed like a worker pipe."""
+
+    send = queue.SimpleQueue.put
+
+    def close(self) -> None:
+        pass
 
 
 class Manager:
@@ -119,8 +141,10 @@ class Manager:
             self._claims: Any = self._ctx.Array("q", [NO_CLAIM] * worker_count, lock=False)
         else:
             self._claims = [NO_CLAIM] * worker_count
-        #: Per-slot worker handle (Process or Thread) and manager-side end of
-        #: its duplex pipe. The worker loop alone replaces them, on respawn.
+        #: Per-slot worker handle (Process or Thread) and task channel: the
+        #: manager's end of a process worker's duplex pipe, or a thread
+        #: worker's in-process queue. The worker loop alone replaces them,
+        #: on respawn.
         self._workers: List[Any] = [None] * worker_count
         self._conns: List[Any] = [None] * worker_count
         #: Per-slot send lock: a pipe write is not atomic across writers, and
@@ -139,8 +163,15 @@ class Manager:
         #: Ids of tasks received and not yet settled. The first result or
         #: synthesized loss for an id removes it; a later one is dropped.
         self._unsettled: Set[int] = set()
-        #: Written by _stop() to wake the worker loop.
-        self._wake_recv, self._wake_send = self._ctx.Pipe(duplex=False)
+        #: Written by _stop(), and by thread workers that find the worker
+        #: loop idle, to wake the worker loop.
+        self._wake_recv, self._wake_send = socket.socketpair()
+        #: Thread workers' results, taken by the worker loop; guarded by
+        #: _delivered_lock together with _loop_idle (the loop is blocked, or
+        #: about to block, with nothing delivered: the next result wakes it).
+        self._delivered: List[Tuple[int, Dict[str, Any]]] = []
+        self._delivered_lock = threading.Lock()
+        self._loop_idle = False
         self._stop_event = threading.Event()
         self._threads: Dict[str, threading.Thread] = {}
         self._last_interchange_contact = time.time()
@@ -178,34 +209,50 @@ class Manager:
             self._threads[name] = t
 
     def _spawn_worker(self, worker_id: int) -> Tuple[Any, Any]:
-        """Start (or restart) one slot's worker; returns it and its pipe end."""
+        """Start (or restart) one slot's worker; returns it and its task channel.
+
+        A process worker's channel is the manager's end of its pipe; a thread
+        worker's is an in-process queue, and its results go straight into
+        the worker loop's list (see :meth:`_deliver`).
+        """
         self._claims[worker_id] = NO_CLAIM
         name = f"{self.manager_id}-worker-{worker_id}"
         if self.worker_mode == "thread":
-            conn, child_conn = self._ctx.Pipe(duplex=True)
+            inbox = _Inbox()
             worker: Any = threading.Thread(
                 target=worker_loop,
-                args=(worker_id, child_conn, self.sandbox_root, self._claims),
+                args=(worker_id, inbox.get, partial(self._deliver, worker_id), self.sandbox_root, self._claims),
                 name=name,
                 daemon=True,
             )
             worker.start()
-            return worker, conn
-        with _SPAWN_LOCK:
-            conn, child_conn = self._ctx.Pipe(duplex=True)
-            worker = self._ctx.Process(
-                target=worker_process_main,
-                args=(worker_id, child_conn, self.sandbox_root, self._claims),
-                name=name,
-                daemon=True,
-            )
-            worker.start()
-            child_conn.close()  # the worker holds its own copy now
+            return worker, inbox
+        conn, child_conn = self._ctx.Pipe(duplex=True)
+        worker = self._ctx.Process(
+            target=worker_process_main,
+            args=(worker_id, child_conn, self.sandbox_root, self._claims),
+            name=name,
+            daemon=True,
+        )
+        worker.start()
+        child_conn.close()  # the worker holds its own copy now
         return worker, conn
 
     def _send(self, worker_id: int, conn: Any, payload: Any) -> None:
         with self._send_locks[worker_id]:
             conn.send(payload)
+
+    def _deliver(self, worker_id: int, result: Dict[str, Any]) -> None:
+        """Hand a thread worker's result to the worker loop.
+
+        Only a result that finds the loop idle writes to the wake
+        connection; the rest join the list the loop takes on its way round.
+        """
+        with self._delivered_lock:
+            self._delivered.append((worker_id, result))
+            wake, self._loop_idle = self._loop_idle, False
+        if wake:
+            self._wake_send.send(b"\0")
 
     # ------------------------------------------------------------------
     # Tasks: interchange -> workers
@@ -258,7 +305,7 @@ class Manager:
                 with self._tasks_lock:
                     if self._conns[target] is not conn or task_id not in self._assigned[target]:
                         return  # the worker loop already took it over as an orphan
-                    # The worker died before the worker loop saw its sentinel:
+                    # The worker died before the worker loop saw it exit:
                     # take the task back and wait for a live slot.
                     del self._assigned[target][task_id]
                     self._routable.discard(target)
@@ -269,14 +316,15 @@ class Manager:
     def _worker_loop(self) -> None:
         """Return results and contain worker crashes, one wake-up at a time.
 
-        Results come first: every readable pipe is read until empty. Then
-        each process worker whose sentinel fired is retired: results it sent
-        before dying were salvaged with the rest and settle ahead of the
-        synthesized ``worker_lost`` item for its claimed task. Everything
-        settled goes out as one ``results`` frame, and only then are dead
-        slots respawned — or, once ``worker_respawn_limit`` respawns have
-        been spent, the manager stops, its loss already sent (else a poison
-        task would reset its kill tally on every manager it chews through).
+        Results come first: every readable pipe is read until empty and the
+        thread workers' results are taken from their list. Then each process
+        worker whose pidfd fired is retired: results it sent before dying
+        were salvaged with the rest and settle ahead of the synthesized
+        ``worker_lost`` item for its claimed task. Everything settled goes
+        out as one ``results`` frame, and only then are dead slots respawned
+        — or, once ``worker_respawn_limit`` respawns have been spent, the
+        manager stops, its loss already sent (else a poison task would reset
+        its kill tally on every manager it chews through).
         """
         hostname = socket.gethostname()
         respawns_left = self.worker_respawn_limit
@@ -286,29 +334,43 @@ class Manager:
             self._watch(selector, worker_id)
         try:
             while True:
-                received: List[Tuple[int, Dict[str, Any]]] = []
                 dead: List[int] = []
-                ready = selector.select()
+                with self._delivered_lock:
+                    received, self._delivered = self._delivered, []
+                    self._loop_idle = not received
+                ready = selector.select(None if self._loop_idle else 0)
                 while ready:
+                    # Deaths before reads: a descendant of the dead worker
+                    # may still hold its end of the pipe, so sever the pipe
+                    # first. Whole results already in it are still read; a
+                    # result cut off mid-write reads as end-of-file instead
+                    # of waiting for bytes that never come.
                     for key, _events in ready:
                         if key.data is None:
-                            continue  # the wake connection: the stop event says why
-                        worker_id, is_pipe = key.data
-                        if not is_pipe:
-                            selector.unregister(key.fileobj)
-                            dead.append(worker_id)
-                            with self._tasks_lock:
-                                self._routable.discard(worker_id)
+                            # The wake connection: a stop (the stop event says
+                            # so) or thread workers' results.
+                            self._wake_recv.recv(4096)
+                            with self._delivered_lock:
+                                received += self._delivered
+                                self._delivered = []
+                            continue
+                        if key.data[1]:
+                            continue  # a pipe: read below
+                        worker_id = key.data[0]
+                        selector.unregister(key.fd)
+                        os.close(key.fd)
+                        dead.append(worker_id)
+                        with self._tasks_lock:
+                            self._routable.discard(worker_id)
+                        _sever(self._conns[worker_id])
+                    for key, _events in ready:
+                        if key.data is None or not key.data[1]:
                             continue
                         try:
-                            received.append((worker_id, key.fileobj.recv()))
+                            received.append((key.data[0], key.fileobj.recv()))
                         except (EOFError, OSError):
-                            selector.unregister(key.fileobj)  # a dying worker: its sentinel follows
-                    ready = [
-                        (key, events)
-                        for key, events in selector.select(0)
-                        if key.data is not None and key.data[1]
-                    ]
+                            selector.unregister(key.fileobj)  # a dying worker: its exit follows
+                    ready = selector.select(0)
                 stopping = self._stop_event.is_set()
                 for worker_id in [] if stopping else dead:  # STOP-pill exits are not crashes
                     worker = self._workers[worker_id]
@@ -342,13 +404,27 @@ class Manager:
                     self._respawn(worker_id)
                     self._watch(selector, worker_id)
         finally:
+            for key in list(selector.get_map().values()):
+                if key.data is not None and not key.data[1]:
+                    os.close(key.fd)
             selector.close()
 
     def _watch(self, selector: selectors.BaseSelector, worker_id: int) -> None:
-        """Wake the worker loop on this slot's results and, for a process, its exit."""
-        selector.register(self._conns[worker_id], selectors.EVENT_READ, (worker_id, True))
+        """Wake the worker loop on a process worker's results and on its exit.
+
+        The exit is watched through a pidfd, which becomes readable when the
+        process ends whoever holds its file descriptors: a worker's
+        ``Process.sentinel`` stays silent while any descendant it forked
+        without exec lives on.
+        """
         if self.worker_mode == "process":
-            selector.register(self._workers[worker_id].sentinel, selectors.EVENT_READ, (worker_id, False))
+            selector.register(self._conns[worker_id], selectors.EVENT_READ, (worker_id, True))
+            worker = self._workers[worker_id]
+            try:
+                exit_fd = os.pidfd_open(worker.pid)
+            except ProcessLookupError:  # already reaped by another Process.start()
+                exit_fd = os.dup(worker.sentinel)
+            selector.register(exit_fd, selectors.EVENT_READ, (worker_id, False))
 
     def _send_results(self, received: List[Tuple[int, Dict[str, Any]]]) -> None:
         """Settle what the workers sent and return it as one ``results`` frame.
@@ -404,7 +480,7 @@ class Manager:
             for payload in orphans:
                 self._send(worker_id, conn, payload)
         except OSError:
-            pass  # the replacement died too: its sentinel comes next, orphans and all
+            pass  # the replacement died too: its exit comes next, orphans and all
         with self._send_locks[worker_id]:
             self._conns[worker_id].close()  # a send to the dead worker may be failing on it
         with self._tasks_lock:
@@ -433,13 +509,17 @@ class Manager:
     def _stop(self) -> None:
         """End every service loop; results read before the stop are still sent.
 
-        Each call writes one wake-up; the few places that stop a manager
-        each call this once, so the never-drained wake pipe cannot fill.
+        Each call writes one wake-up; once the worker loop has stopped
+        draining the wake connection, only the few places that stop a
+        manager write to it, once each, so it cannot fill.
         """
         with self._tasks_lock:
             self._stop_event.set()
             self._tasks_lock.notify_all()
-        self._wake_send.send_bytes(b"")
+        try:
+            self._wake_send.send(b"\0")
+        except OSError:
+            pass  # after shutdown(): the wake connection is closed, the loop long gone
 
     def wait(self) -> None:
         """Block until the manager shuts down (used by the CLI entry point)."""
@@ -473,6 +553,8 @@ class Manager:
         for conn in self._conns:
             if conn is not None:
                 conn.close()
+        self._wake_recv.close()
+        self._wake_send.close()
 
     # ------------------------------------------------------------------
     def run_forever(self) -> None:

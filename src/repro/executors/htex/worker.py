@@ -1,10 +1,11 @@
 """HTEX worker: executes tasks handed to it by its manager.
 
-Workers are deliberately dumb: they block in ``recv()`` on a private duplex
-pipe to their manager, run each task through the common execution kernel,
-and send the serialized outcome back over the same pipe. All protocol
-complexity lives in the manager and interchange. Process and thread workers
-run the same loop over the same kind of pipe.
+Workers are deliberately dumb: a process worker blocks in ``recv()`` on a
+private duplex pipe to its manager, runs each task through the common
+execution kernel, and sends the serialized outcome back over the same pipe.
+All protocol complexity lives in the manager and interchange. Thread workers
+run the same loop, fed from an in-process queue, and hand their results
+straight to the manager's worker loop.
 
 Each worker owns a **private pipe** rather than sharing
 ``multiprocessing.Queue``\\ s with its siblings. The shared-queue design has
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.executors.execute_task import execute_task
 
@@ -43,15 +44,18 @@ NO_CLAIM = -1
 
 def worker_loop(
     worker_id: int,
-    conn,
+    recv: Callable[[], Any],
+    send: Callable[[Any], Any],
     sandbox_root: Optional[str] = None,
     claims=None,
 ) -> int:
     """Run tasks until a poison pill arrives; returns the number executed.
 
-    ``conn`` is the worker's end of its duplex pipe to the manager. Items are
-    dicts with ``task_id``, ``buffer`` and, optionally, ``walltime_s``;
-    results carry the serialized outcome and the execution endpoints.
+    ``recv`` blocks for the next task and ``send`` returns a result: a
+    process worker's pipe end provides both, a thread worker gets its
+    manager's in-process equivalents. Tasks are dicts with ``task_id``,
+    ``buffer`` and, optionally, ``walltime_s``; results carry the serialized
+    outcome and the execution endpoints.
     ``claims`` (when given) is a shared array indexed by worker id: the task
     id currently being executed is published there *before* execution
     starts and cleared only after the result is handed off, so a crash
@@ -63,7 +67,7 @@ def worker_loop(
         sandbox_dir = os.path.join(sandbox_root, f"worker_{worker_id}")
     try:
         while True:
-            item = conn.recv()
+            item = recv()
             if item is STOP:
                 break
             if claims is not None:
@@ -77,7 +81,7 @@ def worker_loop(
                 item["buffer"], sandbox_dir=sandbox_dir, walltime_s=item.get("walltime_s")
             )
             exec_end = time.time()
-            conn.send(
+            send(
                 {
                     "task_id": item["task_id"],
                     "buffer": buffer,
@@ -93,9 +97,7 @@ def worker_loop(
                 claims[worker_id] = NO_CLAIM
             executed += 1
     except (EOFError, OSError):
-        pass  # the manager closed its end
-    finally:
-        conn.close()
+        pass  # the manager closed its end of the pipe
     return executed
 
 
@@ -107,6 +109,8 @@ def worker_process_main(
 ) -> None:
     """Entry point used when the worker runs as a separate OS process."""
     try:
-        worker_loop(worker_id, conn, sandbox_root, claims)
+        worker_loop(worker_id, conn.recv, conn.send, sandbox_root, claims)
     except KeyboardInterrupt:
         pass
+    finally:
+        conn.close()

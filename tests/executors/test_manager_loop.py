@@ -86,6 +86,17 @@ def _collect(server, wanted, timeout=20.0):
     return results, heartbeats
 
 
+def _fork_then_exit(pid_path):
+    """Leave a descendant holding the worker's pipe, then die mid-task."""
+    child = os.fork()
+    if child == 0:
+        time.sleep(30)
+        os._exit(0)
+    with open(pid_path, "w") as f:
+        f.write(str(child))
+    os._exit(13)
+
+
 def _value(item):
     return deserialize(item["buffer"])["result"]
 
@@ -132,6 +143,30 @@ def test_idle_worker_killed_is_replaced_and_runs_the_next_task(server, start_man
     assert _value(results[5]) == 3
     assert "worker_lost" not in results[5]
     assert replacement.exitcode is None
+
+
+def test_worker_dead_while_its_fork_holds_its_pipe_is_replaced(server, start_manager, tmp_path):
+    """The worker forks a child that keeps its pipe end open, then exits 13.
+
+    Its loss still settles, the slot is respawned, and the 4 MiB task that
+    the tasks thread was writing into the dead worker's full pipe runs on
+    the replacement."""
+    manager = start_manager(worker_count=1)
+    victim = manager._workers[0]
+    pid_path = tmp_path / "descendant.pid"
+    items = [
+        msg.task_item(7, pack_apply_message(_fork_then_exit, (str(pid_path),), {})),
+        msg.task_item(8, pack_apply_message(_length, (b"x" * (4 << 20),), {})),
+    ]
+    assert server.send(manager.manager_id, msg.tasks_message(items))
+    try:
+        results, _heartbeats = _collect(server, {7, 8})
+        assert results[7]["worker_lost"]["exitcode"] == 13
+        assert _value(results[8]) == 4 << 20
+        assert manager.workers_respawned == 1 and manager._workers[0] is not victim
+    finally:
+        if pid_path.exists():
+            os.kill(int(pid_path.read_text()), signal.SIGKILL)
 
 
 def test_every_task_settles_once_under_a_short_switch_interval(server, start_manager):
