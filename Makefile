@@ -22,7 +22,9 @@ test-fast:
 # thread census, heartbeat-under-a-full-pipe, idle-kill and switch-interval
 # stress tests; and the DFK task-lifetime tests, whose weakref and memory
 # checks depend on the cleanup and pool-drain barriers and on a record being
-# released only after its completion hooks.
+# released only after its completion hooks; and the idle wake-up tests of the
+# comms server's accept thread and the session store's writer, which count a
+# blocked thread's context switches over a window.
 # FLAKE_PASSES times, stopping at the first failure.
 FLAKE_PASSES ?= 20
 FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
@@ -34,7 +36,9 @@ FLAKE_TESTS = tests/service/test_gateway.py::TestSessions \
 	tests/executors/test_manager_frames.py \
 	tests/executors/test_manager_loop.py \
 	tests/executors/test_worker_crash.py::TestWorkerCrashContainment \
-	tests/core/test_task_lifetime.py
+	tests/core/test_task_lifetime.py \
+	tests/comms/test_comms.py::test_idle_server_accept_thread_does_not_wake \
+	tests/service/test_store.py::test_idle_writer_does_not_wake
 
 flake-check:
 	@for i in $$(seq $(FLAKE_PASSES)); do \

@@ -50,27 +50,31 @@ See ``README.md`` for the package-to-paper-section map and
 ``docs/architecture/dispatch-pipeline.md`` for the dispatch pipeline.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.version import VERSION as __version__
 
-from repro.apps.app import python_app, bash_app, join_app
-from repro.config.config import Config
-from repro.core.dflow import DataFlowKernel, DataFlowKernelLoader
-from repro.core.futures import AppFuture, DataFuture
-from repro.core.guidelines import recommend_executor
-from repro.core.retry import RetryPolicy
-from repro.data.files import File
-from repro.errors import ReproException, WorkerPoisonError
-from repro.scheduling.spec import ResourceSpec
-from repro.service import ServiceClient, WorkflowGateway
+if TYPE_CHECKING:
+    from repro.apps.app import python_app, bash_app, join_app
+    from repro.config.config import Config
+    from repro.core.dflow import DataFlowKernel, DataFlowKernelLoader
+    from repro.core.futures import AppFuture, DataFuture
+    from repro.core.guidelines import recommend_executor
+    from repro.core.retry import RetryPolicy
+    from repro.data.files import File
+    from repro.errors import ReproException, WorkerPoisonError
+    from repro.scheduling.spec import ResourceSpec
+    from repro.service import ServiceClient, WorkflowGateway
 
-#: Load a DataFlowKernel from a Config (module-level convenience, as in Parsl).
-load = DataFlowKernelLoader.load
-#: Return the currently loaded DataFlowKernel.
-dfk = DataFlowKernelLoader.dfk
-#: Clean up and forget the currently loaded DataFlowKernel.
-clear = DataFlowKernelLoader.clear
-#: Block until every currently submitted task reaches a final state.
-wait_for_current_tasks = DataFlowKernelLoader.wait_for_current_tasks
+    #: Load a DataFlowKernel from a Config (module-level convenience, as in Parsl).
+    load = DataFlowKernelLoader.load
+    #: Return the currently loaded DataFlowKernel.
+    dfk = DataFlowKernelLoader.dfk
+    #: Clean up and forget the currently loaded DataFlowKernel.
+    clear = DataFlowKernelLoader.clear
+    #: Block until every currently submitted task reaches a final state.
+    wait_for_current_tasks = DataFlowKernelLoader.wait_for_current_tasks
 
 __all__ = [
     "__version__",
@@ -95,3 +99,33 @@ __all__ = [
     "clear",
     "wait_for_current_tasks",
 ]
+
+# Each name is imported on first access, so a worker entry point under this
+# package (e.g. repro.executors.htex.process_worker_pool) loads only what it
+# runs; tests/executors/test_entry_point_imports.py guards that.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "python_app": "repro.apps.app",
+        "bash_app": "repro.apps.app",
+        "join_app": "repro.apps.app",
+        "Config": "repro.config.config",
+        "DataFlowKernel": "repro.core.dflow",
+        "DataFlowKernelLoader": "repro.core.dflow",
+        "AppFuture": "repro.core.futures",
+        "DataFuture": "repro.core.futures",
+        "File": "repro.data.files",
+        "ReproException": "repro.errors",
+        "ResourceSpec": "repro.scheduling.spec",
+        "RetryPolicy": "repro.core.retry",
+        "WorkerPoisonError": "repro.errors",
+        "ServiceClient": "repro.service",
+        "WorkflowGateway": "repro.service",
+        "recommend_executor": "repro.core.guidelines",
+        "load": "repro.core.dflow:DataFlowKernelLoader.load",
+        "dfk": "repro.core.dflow:DataFlowKernelLoader.dfk",
+        "clear": "repro.core.dflow:DataFlowKernelLoader.clear",
+        "wait_for_current_tasks": "repro.core.dflow:DataFlowKernelLoader.wait_for_current_tasks",
+    },
+)
+del TYPE_CHECKING, lazy_exports

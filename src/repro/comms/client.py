@@ -17,7 +17,9 @@ class MessageClient:
 
     The client registers its identity on connect; after that, ``send`` and
     ``recv`` move whole picklable messages. Receives are buffered by a
-    background reader thread so callers can poll with a timeout.
+    background reader thread so callers can poll with a timeout. That thread
+    stamps :attr:`last_recv` (``time.monotonic()``) for every frame it reads,
+    so the peer's liveness shows even while no caller takes messages.
     """
 
     def __init__(
@@ -38,6 +40,8 @@ class MessageClient:
         self._inbound: "queue.Queue[Any]" = queue.Queue()
         self._stop_event = threading.Event()
         self.connected = True
+        #: Monotonic time of the last frame read from the server (or of connect).
+        self.last_recv = time.monotonic()
 
         registration = {"identity": self.identity}
         registration.update(registration_info or {})
@@ -69,6 +73,7 @@ class MessageClient:
                 msg = recv_frame(self._sock)
             except Exception:
                 break
+            self.last_recv = time.monotonic()
             self._inbound.put(msg)
         self.connected = False
         # Wake any blocked recv() with an explicit disconnect marker.

@@ -22,8 +22,9 @@ from repro.utils.ids import make_uid
 
 def _close_socket(sock: socket.socket) -> None:
     """Shut down then close: the shutdown sends FIN and wakes any thread
-    blocked in ``recv`` on the peer side (a bare ``close`` does neither
-    reliably while our own reader is still blocked on the fd)."""
+    blocked in ``recv`` on the peer side, and fails an ``accept`` blocked on
+    a listener (a bare ``close`` does neither reliably while our own thread
+    is still blocked on the fd)."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -84,16 +85,15 @@ class MessageServer:
     # Accept / read loops
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        try:
-            self._listener.settimeout(0.2)
-        except OSError:
-            return  # close() already shut the listener down
-        while not self._stop_event.is_set():
+        # Blocks with no timeout: close() shuts the listener down, which
+        # fails a blocked accept() at once.
+        while True:
             try:
                 conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
+                break
+            if self._stop_event.is_set():
+                conn.close()
                 break
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = threading.Thread(
@@ -240,10 +240,7 @@ class MessageServer:
     def close(self) -> None:
         """Shut the server down and drop all peers."""
         self._stop_event.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _close_socket(self._listener)
         with self._peers_lock:
             peers = list(self._peers.values())
             self._peers.clear()
@@ -251,10 +248,10 @@ class MessageServer:
             _close_socket(peer.sock)
         self._inbound.put(None)  # wake a recv() blocked past the close
         # Join the accept thread before declaring the port free: a thread
-        # blocked inside accept(2) keeps the kernel LISTEN socket alive even
-        # after the fd is closed (up to its 0.2 s poll timeout), so without
-        # this join a caller that closes and immediately rebinds the same
-        # port races EADDRINUSE.
+        # inside accept(2) holds the kernel LISTEN socket until the call
+        # returns. The listener's shutdown above makes it return at once, so
+        # this join is short; without it a caller that closes and
+        # immediately rebinds the same port races EADDRINUSE.
         if self._accept_thread.is_alive() and self._accept_thread is not threading.current_thread():
             self._accept_thread.join(timeout=5.0)
         # Reap reader threads: sockets are closed, so each loop exits promptly.

@@ -19,7 +19,9 @@ runs three threads, whatever its worker count:
 * ``<id>-heartbeat`` exchanges heartbeats with the interchange on a timer of
   its own, so a pipe write can never delay one, and **exits immediately** if
   the interchange goes silent, to avoid wasting allocation time — the
-  behaviour described in the paper.
+  behaviour described in the paper. Silence is judged by the comms client's
+  reader, which stamps every frame it reads, so a tasks thread blocked on a
+  full pipe cannot make a live interchange look lost.
 
 Each worker publishes the task it is executing in a shared claims array. A
 process worker that dies mid-task (segfault, OOM kill, ``os._exit`` in user
@@ -174,7 +176,6 @@ class Manager:
         self._loop_idle = False
         self._stop_event = threading.Event()
         self._threads: Dict[str, threading.Thread] = {}
-        self._last_interchange_contact = time.time()
         self.tasks_received = 0
         self.results_sent = 0
         #: Workers that died unexpectedly / were respawned by the worker loop.
@@ -267,7 +268,6 @@ class Manager:
                     logger.warning("manager %s lost its interchange connection; exiting", self.manager_id)
                 self._stop()
                 return
-            self._last_interchange_contact = time.time()
             if mtype == "tasks":
                 items = message.get("items", [])
                 self.tasks_received += len(items)
@@ -495,7 +495,7 @@ class Manager:
         assert self._client is not None
         while not self._stop_event.is_set():
             self._client.send(msg.heartbeat_message())
-            if time.time() - self._last_interchange_contact > self.heartbeat_threshold:
+            if time.monotonic() - self._client.last_recv > self.heartbeat_threshold:
                 logger.warning(
                     "manager %s: no interchange contact for %.1fs; exiting to avoid waste",
                     self.manager_id,

@@ -282,12 +282,8 @@ class SessionStore:
         conn = self._open()
         try:
             while True:
-                try:
-                    first = self._ops.get(timeout=0.1)
-                except queue.Empty:
-                    if self._stop.is_set():
-                        return
-                    continue
+                # No timeout: close() and abandon() enqueue None to wake us.
+                first = self._ops.get()
                 if self._abandoned:
                     return  # queued work dies with us (kill -9 semantics)
                 batch: List[_Op] = []

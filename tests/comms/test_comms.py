@@ -245,6 +245,18 @@ class TestTCPServerClient:
                 c.close()
 
 
+def test_idle_server_accept_thread_does_not_wake(context_switches):
+    server = MessageServer()
+    client = MessageClient(server.host, server.port, identity="idle")
+    try:
+        assert server.recv(timeout=5)[1]["type"] == "registration"
+        assert context_switches(server._accept_thread, 0.5) <= 1
+    finally:
+        client.close()
+        server.close()
+    assert not server._accept_thread.is_alive()
+
+
 class TestInproc:
     def test_roundtrip(self):
         fabric = InprocFabric()

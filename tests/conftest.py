@@ -10,7 +10,10 @@ DFK must clear the loader afterwards (enforced by ``_loader_guard``).
 
 from __future__ import annotations
 
+import pathlib
 import re
+import threading
+import time
 
 import pytest
 
@@ -159,3 +162,41 @@ def prom_validator():
     """The Prometheus text-format validator, as a fixture both the metrics
     unit tests and the service-layer scrape tests share."""
     return validate_prometheus_text
+
+
+# ---------------------------------------------------------------------------
+# Idle wake-ups: how often a thread that should be blocked runs anyway.
+# ---------------------------------------------------------------------------
+def _context_switches(thread) -> int:
+    status = pathlib.Path(f"/proc/self/task/{thread.native_id}/status").read_text()
+    return sum(
+        int(line.split()[1])
+        for line in status.splitlines()
+        if line.startswith(("voluntary_ctxt_switches:", "nonvoluntary_ctxt_switches:"))
+    )
+
+
+def count_context_switches(thread, window: float) -> int:
+    """Context switches ``thread`` makes over ``window`` seconds.
+
+    A thread blocked with no timeout makes none; one that polls makes one per
+    poll. The window opens once the thread has been still for 50 ms, so the
+    switches of its start-up are not counted.
+    """
+    deadline = time.monotonic() + 5.0
+    before = _context_switches(thread)
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
+        settled, before = before, _context_switches(thread)
+        if settled == before:
+            break
+    time.sleep(window)
+    return _context_switches(thread) - before
+
+
+@pytest.fixture
+def context_switches():
+    """:func:`count_context_switches`, skipping where /proc has no per-thread status."""
+    if not pathlib.Path(f"/proc/self/task/{threading.get_native_id()}/status").exists():
+        pytest.skip("needs /proc/self/task/<tid>/status")
+    return count_context_switches

@@ -70,8 +70,11 @@ def _send_task(server, manager, task_id, func, *args):
     assert server.send(manager.manager_id, msg.tasks_message([item]))
 
 
-def _collect(server, wanted, timeout=20.0):
-    """Frames until every id in ``wanted`` settled: (results by id, heartbeat times)."""
+def _collect(server, wanted, timeout=20.0, reply=False):
+    """Frames until every id in ``wanted`` settled: (results by id, heartbeat times).
+
+    With ``reply``, each heartbeat is answered as the interchange would.
+    """
     results, heartbeats = {}, []
     deadline = time.time() + timeout
     while time.time() < deadline and not wanted <= results.keys():
@@ -81,6 +84,8 @@ def _collect(server, wanted, timeout=20.0):
         message = received[1]
         if message.get("type") == "heartbeat":
             heartbeats.append(time.monotonic())
+            if reply:
+                server.send(received[0], msg.heartbeat_reply_message())
         elif message.get("type") == "results":
             results.update((item["task_id"], item) for item in message["items"])
     return results, heartbeats
@@ -129,6 +134,21 @@ def test_heartbeats_keep_their_period_while_a_task_waits_on_a_full_pipe(server, 
     gaps = [later - earlier for earlier, later in zip(heartbeats, heartbeats[1:])]
     assert len(heartbeats) >= 10, heartbeats
     assert max(gaps) < 1.0, f"a heartbeat waited {max(gaps):.2f}s at period 0.1s"
+
+
+def test_a_task_waiting_on_a_full_pipe_does_not_make_a_live_interchange_look_lost(
+    server, start_manager
+):
+    """Heartbeat replies count as contact when they are read, not when the
+    blocked tasks thread would get round to them."""
+    manager = start_manager(worker_count=1, heartbeat_threshold=0.5)
+    _send_task(server, manager, 1, make_sleeper(2.0), "slow")
+    assert wait_for(lambda: manager._claims[0] == 1), "the worker never claimed the slow task"
+    _send_task(server, manager, 2, _length, b"x" * (4 << 20))
+    results, _ = _collect(server, {1, 2}, reply=True)
+    assert _value(results[1]) == "slow"
+    assert _value(results[2]) == 4 << 20
+    assert not manager._stop_event.is_set(), "the manager stopped with its interchange alive"
 
 
 def test_idle_worker_killed_is_replaced_and_runs_the_next_task(server, start_manager):

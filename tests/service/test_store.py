@@ -86,6 +86,17 @@ class TestRoundtrip:
         store.close()
 
 
+def test_idle_writer_does_not_wake(tmp_path, context_switches):
+    store = make_store(tmp_path / "s.db")
+    try:
+        store.save_session("s1", "t", "tok")
+        assert store.flush()
+        assert context_switches(store._thread, 0.5) <= 1
+    finally:
+        store.close()
+    assert not store._thread.is_alive()
+
+
 class TestWriterLag:
     def test_lag_is_zero_when_caught_up(self, tmp_path):
         store = make_store(tmp_path / "s.db")
